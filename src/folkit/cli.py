@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 for success or a positive verdict,
 1 for a negative verdict (proof rejected, not an axiom, formula false,
-countermodel found, audit failed), 2 for usage or input errors.
+countermodel found, audit failed), 2 for usage or input errors,
+including input nested too deeply to process.
 """
 
 from __future__ import annotations
@@ -133,6 +134,10 @@ def run(argv: list[str], stdin: str | None = None,
         return 2
     except (ParseError, EvalError, SearchLimit, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
+        return 2
+    except RecursionError:
+        # parsing, printing and evaluation recurse along the nesting depth
+        print("error: input nested too deeply", file=err)
         return 2
 
 

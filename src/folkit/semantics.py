@@ -6,6 +6,10 @@ relation and ``eq``, when present, is forced to the identity.  Parameters
 evaluate to themselves, so taking the parameter set to be the carrier
 makes every element nameable and lets the quantifier range over carrier
 elements in place of arbitrary terms.
+
+Internally a structure is integer-encoded over ``range(k)`` and a single
+evaluator walks formulas over those integers; element names are mapped
+to indices on the way in and back on the way out.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ Env = tuple[str, ...]
 
 class EvalError(ValueError):
     """Raised when evaluation preconditions fail (short environment,
-    unknown symbol, parameter outside the carrier, bad Herbrand input)."""
+    unknown symbol, parameter or environment element outside the carrier,
+    bad Herbrand input)."""
 
 
 class SearchLimit(RuntimeError):
@@ -79,24 +84,64 @@ class SearchLimit(RuntimeError):
 
     def __init__(self, count: int, ceiling: int):
         super().__init__(
-            f"enumeration of {count} candidates exceeds the ceiling of {ceiling}"
+            f"enumeration of at least {count} candidates exceeds the ceiling of {ceiling}"
         )
         self.count = count
         self.ceiling = ceiling
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, slots=True)
 class Structure:
     """Finite carrier with function tables and predicate relations.
 
-    Use :meth:`make` to build a validated structure; it checks totality
-    and arities against a signature and fills in the fixed tables for
-    ``false`` and ``eq``.
+    Elements are stored as their indices into ``domain``.  A function of
+    arity n is the tuple of its values over ``range(k) ** n`` in row-major
+    order; a predicate is the frozenset of the row-major positions of its
+    members.  Build one with :meth:`make`, which validates named tables
+    against a signature, copies and encodes them, and fills in the fixed
+    tables for ``false`` and ``eq``; :attr:`fn_tables` and
+    :attr:`pred_tables` decode them back to element names.
     """
 
     domain: tuple[str, ...]
-    fn_tables: dict[str, dict[tuple[str, ...], str]] = field(default_factory=dict)
-    pred_tables: dict[str, frozenset[tuple[str, ...]]] = field(default_factory=dict)
+    _fns: dict[str, tuple[int, ...]]
+    _preds: dict[str, frozenset[int]]
+    _arity: dict[str, int]
+    _index: dict[str, int] = field(compare=False)
+
+    def __hash__(self) -> int:
+        return hash((
+            self.domain,
+            frozenset(self._fns.items()),
+            frozenset(self._preds.items()),
+            frozenset(self._arity.items()),
+        ))
+
+    def __repr__(self) -> str:
+        return (f"Structure(domain={self.domain!r}, fn_tables={self.fn_tables!r}, "
+                f"pred_tables={self.pred_tables!r})")
+
+    @property
+    def fn_tables(self) -> dict[str, dict[tuple[str, ...], str]]:
+        """Function tables by element names, freshly decoded."""
+        d = self.domain
+        return {
+            name: dict(zip(itertools.product(d, repeat=self._arity[name]), map(d.__getitem__, table)))
+            for name, table in self._fns.items()
+        }
+
+    @property
+    def pred_tables(self) -> dict[str, frozenset[tuple[str, ...]]]:
+        """Predicate relations by element names, freshly decoded."""
+        d = self.domain
+        rows = {}
+        tables = {}
+        for name, members in self._preds.items():
+            n = self._arity[name]
+            if n not in rows:
+                rows[n] = list(itertools.product(d, repeat=n))
+            tables[name] = frozenset(map(rows[n].__getitem__, members))
+        return tables
 
     @classmethod
     def make(
@@ -114,78 +159,135 @@ class Structure:
         for m in domain:
             if _ELEMENT_RE.fullmatch(m) is None:
                 raise ValueError(f"invalid carrier element {m!r}")
-        fn_tables = dict(fn_tables or {})
-        pred_tables = {name: frozenset(t) for name, t in (pred_tables or {}).items()}
-
+        index = {m: i for i, m in enumerate(domain)}
+        arity = _arities(sig)
+        # row -> row-major position, for each arity in the signature
+        positions = {
+            n: {row: p for p, row in enumerate(itertools.product(domain, repeat=n))}
+            for n in set(arity.values())
+        }
+        fn_tables = fn_tables or {}
         for name in fn_tables:
             if name not in sig.functions:
                 raise ValueError(f"table for undeclared function {name!r}")
-        for name, arity in sig.functions.items():
+        fns = {}
+        for name, n in sig.functions.items():
             table = fn_tables.get(name)
             if table is None:
                 raise ValueError(f"missing table for function {name!r}")
-            expected = set(itertools.product(domain, repeat=arity))
-            if set(table) != expected:
+            rows = positions[n]
+            if table.keys() != rows.keys():
                 raise ValueError(f"table for {name!r} is not total over the carrier")
-            for value in table.values():
-                if value not in domain:
-                    raise ValueError(f"table for {name!r} maps outside the carrier")
+            try:
+                fns[name] = tuple(map(index.__getitem__, map(table.__getitem__, rows)))
+            except KeyError:
+                raise ValueError(f"table for {name!r} maps outside the carrier") from None
 
-        forced = {FALSE_NAME: frozenset()}
+        preds = {name: frozenset() for name in sig.predicates}
         if sig.with_equality:
-            forced[EQ_NAME] = frozenset((m, m) for m in domain)
-        for name, table in forced.items():
-            supplied = pred_tables.get(name)
-            if supplied is not None and supplied != table:
-                raise ValueError(f"the table for {name!r} is fixed and cannot be overridden")
-            pred_tables[name] = table
-        for name, tuples in pred_tables.items():
-            arity = sig.predicates.get(name)
-            if arity is None:
+            k = len(domain)
+            preds[EQ_NAME] = frozenset(range(0, k * k, k + 1))  # the positions of (m, m)
+        for name, members in (pred_tables or {}).items():
+            n = sig.predicates.get(name)
+            if n is None:
                 raise ValueError(f"table for undeclared predicate {name!r}")
-            for entry in tuples:
-                if len(entry) != arity or any(m not in domain for m in entry):
-                    raise ValueError(f"bad entry {entry!r} in table for {name!r}")
-        for name, arity in sig.predicates.items():
-            pred_tables.setdefault(name, frozenset())
-        return cls(domain, fn_tables, pred_tables)
+            rows = positions[n]
+            members = frozenset(members)
+            bad = members - rows.keys()
+            if bad:
+                raise ValueError(f"bad entry {min(bad, key=repr)!r} in table for {name!r}")
+            encoded = frozenset(map(rows.__getitem__, members))
+            if name in (FALSE_NAME, EQ_NAME) and encoded != preds[name]:
+                raise ValueError(f"the table for {name!r} is fixed and cannot be overridden")
+            preds[name] = encoded
+        return cls(domain, fns, preds, arity, index)
 
 
-def eval_term(t: Term, structure: Structure, env: Env) -> str:
+def _arities(sig: Signature) -> dict[str, int]:
+    return {**sig.functions, **sig.predicates}
+
+
+# ---------------------------------------------------------------------------
+# The evaluator.  It works on element indices: ``env`` holds the index of
+# the value of x(i+1) at position i, and a quantifier prepends each carrier
+# index in turn.  Element names appear only in the public wrappers below.
+
+def _value(t: Term, k: int, fns, index, env: tuple[int, ...]) -> int:
     ty = type(t)
     if ty is Var:
-        if t.index > len(env):
+        try:
+            return env[t.index - 1]
+        except IndexError:
             raise EvalError(
                 f"environment of length {len(env)} is too short for x{t.index}"
-            )
-        return env[t.index - 1]
+            ) from None
     if ty is Param:
-        if t.name not in structure.domain:
-            raise EvalError(f"parameter {t.name!r} is not a carrier element")
-        return t.name
-    table = structure.fn_tables.get(t.symbol)
-    if table is None:
-        raise EvalError(f"no table for function {t.symbol!r}")
-    return table[tuple(eval_term(a, structure, env) for a in t.args)]
+        try:
+            return index[t.name]
+        except KeyError:
+            raise EvalError(f"parameter {t.name!r} is not a carrier element") from None
+    try:
+        table = fns[t.symbol]
+    except KeyError:
+        raise EvalError(f"no table for function {t.symbol!r}") from None
+    pos = 0
+    for a in t.args:
+        pos = pos * k + _value(a, k, fns, index, env)
+    return table[pos]
 
 
-def eval_formula(f: Formula, structure: Structure, env: Env) -> bool:
+def _holds(f: Formula, k: int, fns, preds, index, env: tuple[int, ...]) -> bool:
     ty = type(f)
     if ty is Atom:
-        table = structure.pred_tables.get(f.symbol)
-        if table is None:
-            raise EvalError(f"no table for predicate {f.symbol!r}")
-        return tuple(eval_term(a, structure, env) for a in f.args) in table
+        try:
+            table = preds[f.symbol]
+        except KeyError:
+            raise EvalError(f"no table for predicate {f.symbol!r}") from None
+        pos = 0
+        for a in f.args:
+            pos = pos * k + _value(a, k, fns, index, env)
+        return pos in table
     if ty is Implies:
-        return (not eval_formula(f.lhs, structure, env)) or eval_formula(
-            f.rhs, structure, env
+        return not _holds(f.lhs, k, fns, preds, index, env) or _holds(
+            f.rhs, k, fns, preds, index, env
         )
     if ty is Forall:
         body = f.body
-        return all(
-            eval_formula(body, structure, (m,) + tuple(env)) for m in structure.domain
-        )
+        for m in range(k):
+            if not _holds(body, k, fns, preds, index, (m,) + env):
+                return False
+        return True
     raise EvalError(f"not a formula: {f!r}")
+
+
+def _encode_env(structure: Structure, env: Env) -> tuple[int, ...]:
+    index = structure._index
+    try:
+        return tuple(map(index.__getitem__, env))
+    except KeyError:
+        bad = next(m for m in env if m not in index)
+        raise EvalError(f"environment element {bad!r} is not a carrier element") from None
+
+
+def eval_term(t: Term, structure: Structure, env: Env) -> str:
+    """The carrier element that ``t`` denotes when x(i+1) is ``env[i]``.
+
+    Raises :class:`EvalError` for a short environment, an environment
+    element or parameter outside the carrier, or an unknown symbol.
+    """
+    s = structure
+    return s.domain[_value(t, len(s.domain), s._fns, s._index, _encode_env(s, env))]
+
+
+def eval_formula(f: Formula, structure: Structure, env: Env) -> bool:
+    """Whether ``f`` holds in ``structure`` when x(i+1) is ``env[i]``.
+
+    Raises :class:`EvalError` as :func:`eval_term` does.  Symbols must be
+    used at their declared arities, as the parser and ``check_formula``
+    ensure.
+    """
+    s = structure
+    return _holds(f, len(s.domain), s._fns, s._preds, s._index, _encode_env(s, env))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +436,40 @@ def count_structures(sig: Signature, size: int) -> int:
     return count
 
 
+def _carrier(size: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The enumerated carrier {"0", ..., str(size-1)} and its name -> index map."""
+    domain = tuple(str(i) for i in range(size))
+    return domain, {m: i for i, m in enumerate(domain)}
+
+
+def _encoded_tables(sig: Signature, size: int):
+    """Yield the (function tables, predicate tables) of every structure on
+    ``range(size)``, encoded as in :class:`Structure`, in the order that
+    :func:`enumerate_structures` documents.  Yielded dicts may be shared
+    between items and must not be mutated."""
+    preds, fns = _table_symbols(sig)
+    fixed: dict[str, frozenset[int]] = {FALSE_NAME: frozenset()}
+    if sig.with_equality:
+        fixed[EQ_NAME] = frozenset(range(0, size * size, size + 1))
+    pred_choices = [
+        [
+            frozenset(itertools.compress(range(size**arity), bits))
+            for bits in itertools.product((False, True), repeat=size**arity)
+        ]
+        for _, arity in preds
+    ]
+    fn_choices = [
+        list(itertools.product(range(size), repeat=size**arity)) for _, arity in fns
+    ]
+    pred_names = [name for name, _ in preds]
+    fn_names = [name for name, _ in fns]
+    for pred_pick in itertools.product(*pred_choices):
+        pred_tables = dict(fixed)
+        pred_tables.update(zip(pred_names, pred_pick))
+        for fn_pick in itertools.product(*fn_choices):
+            yield dict(zip(fn_names, fn_pick)), pred_tables
+
+
 def enumerate_structures(sig: Signature, size: int):
     """Yield every structure with carrier {"0", ..., str(size-1)}.
 
@@ -341,35 +477,10 @@ def enumerate_structures(sig: Signature, size: int):
     membership bits (per sorted predicate, per tuple) before function
     entries; ``false`` stays empty and ``eq`` stays the identity.
     """
-    domain = tuple(str(i) for i in range(size))
-    preds, fns = _table_symbols(sig)
-    fixed: dict[str, frozenset[tuple[str, ...]]] = {FALSE_NAME: frozenset()}
-    if sig.with_equality:
-        fixed[EQ_NAME] = frozenset((m, m) for m in domain)
-    pred_choices = []
-    for name, arity in preds:
-        tuples = list(itertools.product(domain, repeat=arity))
-        pred_choices.append(
-            [
-                frozenset(itertools.compress(tuples, bits))
-                for bits in itertools.product((False, True), repeat=len(tuples))
-            ]
-        )
-    fn_choices = []
-    for name, arity in fns:
-        tuples = list(itertools.product(domain, repeat=arity))
-        fn_choices.append(
-            [
-                dict(zip(tuples, values))
-                for values in itertools.product(domain, repeat=len(tuples))
-            ]
-        )
-    for pred_pick in itertools.product(*pred_choices):
-        pred_tables = dict(fixed)
-        pred_tables.update({name: table for (name, _), table in zip(preds, pred_pick)})
-        for fn_pick in itertools.product(*fn_choices):
-            fn_tables = {name: table for (name, _), table in zip(fns, fn_pick)}
-            yield Structure(domain, fn_tables, pred_tables)
+    domain, index = _carrier(size)
+    arity = _arities(sig)
+    for fns, preds in _encoded_tables(sig, size):
+        yield Structure(domain, fns, preds, arity, index)
 
 
 def find_countermodel(
@@ -382,23 +493,28 @@ def find_countermodel(
     """Search carriers of size 1..max_size for a structure satisfying the
     theory together with an environment falsifying the formula.  Returns
     the enumeration-order-least hit, or None when the search space is
-    exhausted.  Refuses searches whose candidate count exceeds the ceiling.
+    exhausted.  Refuses searches whose candidate count exceeds the ceiling,
+    counting size by size and stopping at the first size that passes it.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if has_params(formula):
         raise ValueError("countermodel search needs a parameter-free formula")
     rank = min_rank(formula)
-    total = sum(count_structures(sig, k) * k**rank for k in range(1, max_size + 1))
-    if total > ceiling:
-        raise SearchLimit(total, ceiling)
+    total = 0
+    for size in range(1, max_size + 1):
+        total += count_structures(sig, size) * size**rank
+        if total > ceiling:
+            raise SearchLimit(total, ceiling)
     sentences = [f for _, f in theory.sentences]
     for size in range(1, max_size + 1):
-        for structure in enumerate_structures(sig, size):
-            if all(eval_formula(s, structure, ()) for s in sentences):
-                for env in itertools.product(structure.domain, repeat=rank):
-                    if not eval_formula(formula, structure, env):
-                        return structure, env
+        domain, index = _carrier(size)
+        for fns, preds in _encoded_tables(sig, size):
+            if all(_holds(s, size, fns, preds, index, ()) for s in sentences):
+                for env in itertools.product(range(size), repeat=rank):
+                    if not _holds(formula, size, fns, preds, index, env):
+                        structure = Structure(domain, fns, preds, _arities(sig), index)
+                        return structure, tuple(domain[v] for v in env)
     return None
 
 

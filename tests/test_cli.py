@@ -1,6 +1,7 @@
 """Golden invocation triples: (argv, stdin) -> (exit code, stdout)."""
 
 import io
+import time
 from pathlib import Path
 
 from folkit.cli import run
@@ -162,6 +163,17 @@ class TestCountermodel:
         )
         assert code == 2 and "ceiling" in err
 
+    def test_huge_max_size_is_refused_at_once(self, tmp_path):
+        sig = tmp_path / "monoid.fol"
+        sig.write_text("fn e 0\nfn m 2\npred P 1\n")
+        start = time.perf_counter()
+        code, out, err = invoke(
+            "countermodel", "--sig", str(sig), "--max-size", "400", "(forall P(x1))"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: enumeration of") and "exceeds the ceiling" in err
+
 
 class TestAudit:
     def test_pass(self):
@@ -186,6 +198,15 @@ class TestContract:
     def test_missing_file_exits_2(self):
         code, _, err = invoke("rank", "--sig", "no_such_file.fol", "P(x1)")
         assert code == 2 and err.startswith("error:")
+
+    def test_deep_nesting_exits_2(self):
+        deep = "~" * 3000 + "R(x1,x1)"
+        for argv in (
+            ("parse", "--sig", PAIR_SIG, deep),
+            ("eval", "--sig", PAIR_SIG, "--model", PAIR_MODEL, deep),
+        ):
+            code, out, err = invoke(*argv)
+            assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
     def test_repeated_runs_are_byte_identical(self):
         argv = ("countermodel", "--sig", P_SIG, "--max-size", "1", "(forall P(x1))")

@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folkit import (
+    DEFAULT_CEILING,
     EMPTY_THEORY,
     FALSE,
     App,
@@ -25,6 +27,7 @@ from folkit import (
     eval_formula,
     eval_term,
     find_countermodel,
+    forall_n,
     free_vars,
     herbrand_eval,
     induced_valuation_check,
@@ -37,8 +40,11 @@ from folkit import (
     subst_formula,
     subst_term,
 )
+import reference_semantics as reference
 from strategies import (
     SIG3,
+    SIG3EQ,
+    SIG4,
     SIG5,
     max_index,
     random_axiom_instance,
@@ -46,6 +52,7 @@ from strategies import (
     random_formula,
     random_structure,
     random_substitution,
+    random_term,
 )
 
 MOD2 = Signature({"plus": 2}, {"P": 1})
@@ -74,6 +81,13 @@ class TestEvalTerm:
     def test_parameter_outside_carrier(self):
         with pytest.raises(EvalError):
             eval_term(Param("9"), mod2_structure(), ())
+
+    def test_environment_element_outside_carrier(self):
+        s = mod2_structure()
+        with pytest.raises(EvalError, match="'7' is not a carrier element"):
+            eval_term(Var(1), s, ("7",))
+        with pytest.raises(EvalError, match="'7' is not a carrier element"):
+            eval_formula(Atom("P", (Var(1),)), s, ("0", "7"))
 
 
 class TestEvalFormula:
@@ -110,6 +124,23 @@ class TestStructureInvariants:
     def test_equality_is_identity(self):
         s = random_structure(random.Random(0), SIG5, 2)
         assert s.pred_tables["eq"] == frozenset({("0", "0"), ("1", "1")})
+
+    def test_make_copies_its_tables(self):
+        g = {("0",): "1", ("1",): "0"}
+        r = {("0", "1")}
+        s = Structure.make(SIG5, ("0", "1"), {"g": g}, {"R": r})
+        g[("0",)] = "0"
+        r.add(("1", "1"))
+        assert s.fn_tables["g"] == {("0",): "1", ("1",): "0"}
+        assert s.pred_tables["R"] == frozenset({("0", "1")})
+        assert eval_formula(Atom("R", (Param("1"), Param("1"))), s, ()) is False
+
+    def test_hashable_and_equal_by_content(self):
+        first = mod2_structure(("0",))
+        second = mod2_structure(("0",))
+        assert first == second and hash(first) == hash(second)
+        assert first != mod2_structure(("1",))
+        assert len({first, second, mod2_structure(("1",))}) == 2
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -251,6 +282,17 @@ class TestCountermodel:
         with pytest.raises(SearchLimit):
             find_countermodel(EMPTY_THEORY, Forall(Atom("P", (Var(1),))), SIG_P, 1, ceiling=0)
 
+    def test_ceiling_stops_counting_at_the_first_size_past_it(self):
+        monoid = Signature({"e": 0, "m": 2}, {"P": 1})
+        start = time.perf_counter()
+        with pytest.raises(SearchLimit) as info:
+            find_countermodel(EMPTY_THEORY, Forall(Atom("P", (Var(1),))), monoid, 400)
+        assert time.perf_counter() - start < 1.0
+        # sizes 1..3 hold 472,522 candidates; size 4 pushes the total past
+        assert info.value.count == sum(count_structures(monoid, k) for k in (1, 2, 3, 4))
+        assert info.value.ceiling == DEFAULT_CEILING
+        assert "ceiling" in str(info.value)
+
     def test_parameters_rejected(self):
         with pytest.raises(ValueError):
             find_countermodel(EMPTY_THEORY, Atom("P", (Param("m"),)), SIG_P, 1)
@@ -271,6 +313,48 @@ class TestCountermodel:
         # is the membership bit of the lexicographically last tuple
         assert structures[4].pred_tables["R"] == frozenset({("1", "1")})
         assert structures[4].fn_tables["g"] == {("0",): "0", ("1",): "0"}
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_evaluator_matches_reference(seed):
+    # parameters are sometimes outside the carrier and environments
+    # sometimes short, so the errors are compared too
+    rng = random.Random(seed)
+    sig = rng.choice((SIG3, SIG3EQ, SIG5))
+    structure = random_structure(rng, sig, rng.randint(1, 3))
+    model = reference.named_tables(structure)
+    params = structure.domain + (("9",) if rng.random() < 0.2 else ())
+    f = random_formula(rng, sig, 3, 3, params=params)
+    t = random_term(rng, sig, 2, 3, params=params)
+    env = random_env(rng, structure, rng.randint(0, 3))
+    assert _outcome(eval_formula, f, structure, env) == _outcome(
+        reference.eval_formula, f, model, env
+    )
+    assert _outcome(eval_term, t, structure, env) == _outcome(
+        reference.eval_term, t, model, env
+    )
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_countermodel_matches_naive_search(seed):
+    rng = random.Random(seed)
+    sig, max_size = rng.choice(((SIG_C, 3), (SIG4, 2), (SIG5, 2)))
+    f = random_formula(rng, sig, 3, 2)
+    theory = EMPTY_THEORY
+    if rng.random() < 0.5:
+        g = random_formula(rng, sig, 2, 2)
+        theory = Theory("t", (("s", forall_n(g, min_rank(g))),))
+    found = find_countermodel(theory, f, sig, max_size)
+    assert found == reference.naive_countermodel(theory, f, sig, max_size)
 
 
 SIG_C = Signature({"c": 0}, {"P": 1})
