@@ -36,6 +36,8 @@ from .syntax import (
     Term,
     Var,
     check_formula,
+    depth_guarded,
+    has_params,
     parse_formula,
     print_formula,
     strip_comment,
@@ -56,7 +58,6 @@ __all__ = [
     "EMPTY_THEORY",
     "Verdict",
     "check_proof",
-    "has_params",
     "arith_signature",
     "arith_theory",
     "induction_sentence",
@@ -65,20 +66,6 @@ __all__ = [
     "parse_proof",
     "print_proof",
 ]
-
-
-def has_params(d: Term | Formula) -> bool:
-    if isinstance(d, Param):
-        return True
-    if isinstance(d, (Var,)):
-        return False
-    if isinstance(d, (App, Atom)):
-        return any(has_params(a) for a in d.args)
-    if isinstance(d, Implies):
-        return has_params(d.lhs) or has_params(d.rhs)
-    if isinstance(d, Forall):
-        return has_params(d.body)
-    raise TypeError(f"not a term or formula: {d!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +193,18 @@ def _match_a2(f: Formula) -> AxiomTag | None:
     if not (isinstance(f, Implies) and isinstance(f.lhs, Implies) and isinstance(f.lhs.rhs, Implies)):
         return None
     a, b, c = f.lhs.lhs, f.lhs.rhs.lhs, f.lhs.rhs.rhs
-    if f.rhs == Implies(Implies(a, b), Implies(a, c)):
+    # f.rhs == ((a -> b) -> (a -> c)), compared in place: nodes are
+    # interned, so equality is identity and nothing need be built
+    r = f.rhs
+    if (
+        isinstance(r, Implies)
+        and isinstance(r.lhs, Implies)
+        and isinstance(r.rhs, Implies)
+        and r.lhs.lhs is a
+        and r.lhs.rhs is b
+        and r.rhs.lhs is a
+        and r.rhs.rhs is c
+    ):
         return AxiomTag("A2", (a, b, c))
     return None
 
@@ -228,7 +226,15 @@ def _match_a4(f: Formula) -> AxiomTag | None:
     if not (isinstance(f, Implies) and isinstance(f.lhs, Forall) and isinstance(f.lhs.body, Implies)):
         return None
     a, b = f.lhs.body.lhs, f.lhs.body.rhs
-    if f.rhs == Implies(Forall(a), Forall(b)):
+    # f.rhs == (forall a -> forall b), compared in place as in A2
+    r = f.rhs
+    if (
+        isinstance(r, Implies)
+        and isinstance(r.lhs, Forall)
+        and isinstance(r.rhs, Forall)
+        and r.lhs.body is a
+        and r.rhs.body is b
+    ):
         return AxiomTag("A4", (a, b))
     return None
 
@@ -484,6 +490,7 @@ def induction_sentence(a: Formula, i: int) -> Formula:
 # Theory files: "theory NAME" header, optional "with-induction", then
 # "name: FORMULA" lines.
 
+@depth_guarded
 def parse_theory(text: str, sig: Signature) -> Theory:
     name: str | None = None
     has_induction = False
@@ -561,6 +568,7 @@ def _parse_justification(text: str, sig: Signature, lineno: int) -> Justificatio
     raise ParseError(f"line {lineno}: bad justification {text!r}")
 
 
+@depth_guarded
 def parse_proof(text: str, sig: Signature) -> Proof:
     lines: list[ProofLine] = []
     for lineno, raw in enumerate(text.splitlines(), 1):

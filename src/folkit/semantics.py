@@ -18,10 +18,9 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .proof import Theory, has_params
+from .proof import Theory
 from .subst import (
     forall_n,
-    free_vars,
     instantiate,
     min_rank,
     single_subst,
@@ -42,6 +41,7 @@ from .syntax import (
     Term,
     Var,
     check_formula,
+    has_params,
     print_formula,
     strip_comment,
 )
@@ -534,7 +534,7 @@ class AtomicValuation:
                 raise ValueError(f"not an atomic formula: {atom!r}")
             if atom == FALSE:
                 raise ValueError("the falsum cannot be a true atom")
-            if free_vars(atom) or has_params(atom):
+            if min_rank(atom) or has_params(atom):
                 raise ValueError(f"atom is not closed: {print_formula(atom)}")
 
 

@@ -27,6 +27,7 @@ from .syntax import (
     Term,
     Var,
     _Parser,
+    depth_guarded,
     print_term,
 )
 
@@ -123,14 +124,16 @@ def lift(sigma: Substitution) -> Substitution:
 
 
 def subst_term(t: Term, sigma: Substitution) -> Term:
+    if not t.min_rank:
+        return t
     if isinstance(t, Var):
         return sigma.entry(t.index)
-    if isinstance(t, Param):
-        return t
     return App(t.symbol, tuple(subst_term(a, sigma) for a in t.args))
 
 
 def subst_formula(f: Formula, sigma: Substitution) -> Formula:
+    if not f.min_rank:
+        return f
     if isinstance(f, Atom):
         return Atom(f.symbol, tuple(subst_term(a, sigma) for a in f.args))
     if isinstance(f, Implies):
@@ -193,8 +196,8 @@ def is_independent(d: Term | Formula, i: int) -> bool:
 
 
 def min_rank(d: Term | Formula) -> int:
-    """Least n such that d depends on no variable beyond slot n."""
-    return max(free_vars(d), default=0)
+    """Least n such that d depends on no variable beyond slot n (a cached read)."""
+    return d.min_rank
 
 
 def _collapse_term(t: Term, n: int) -> Term:
@@ -229,8 +232,11 @@ def has_rank(d: Term | Formula, n: int) -> bool:
 
 
 def forall_var(a: Formula, i: int) -> Formula:
-    """Quantify variable i: move slot i to the front, then bind it."""
-    return Forall(subst_formula(a, swap_front(i)))
+    """Quantify variable i: move slot i to the front, then bind it.  When a
+    does not depend on slot i, moving it to the front is a plain shift."""
+    if i < 1:
+        raise ValueError(f"slot index must be >= 1, got {i}")
+    return Forall(subst_formula(a, swap_front(i) if i <= a.min_rank else SHIFT_UP))
 
 
 def forall_n(a: Formula, n: int) -> Formula:
@@ -257,6 +263,7 @@ def print_substitution(sigma: Substitution) -> str:
     return f"[{terms}; {sigma.tail_offset:+d}]"
 
 
+@depth_guarded
 def parse_substitution(text: str, sig: Signature) -> Substitution:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):

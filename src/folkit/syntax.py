@@ -1,8 +1,9 @@
 """Concrete syntax: signatures, terms, formulas, parsing and printing.
 
-Terms and formulas are immutable trees compared structurally.  Variables
-are positive indices (surface form ``xN``); parameters are interned names
-(surface form ``$name``) drawn from an open-ended set.  The only formula
+Terms and formulas are immutable, hash-consed trees: equal trees are the
+same object, so comparing them is O(1).  Variables are positive indices
+(surface form ``xN``); parameters are interned names (surface form
+``$name``) drawn from an open-ended set.  The only formula
 constructors are atoms, implication and the index-shifting universal
 quantifier; every piece of surface sugar (``~``, ``=``, ``forall xi``)
 is expanded at parse time.
@@ -10,8 +11,14 @@ is expanded at parse time.
 
 from __future__ import annotations
 
+import functools
 import re
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 __all__ = [
     "ParseError",
@@ -34,6 +41,7 @@ __all__ = [
     "print_formula",
     "check_term",
     "check_formula",
+    "has_params",
 ]
 
 FALSE_NAME = "false"
@@ -60,11 +68,12 @@ class Signature:
 
     The 0-ary predicate ``false`` is always present.  The 2-ary predicate
     ``eq`` is present exactly when ``with_equality`` is set; declaring it
-    explicitly turns the flag on.
+    explicitly turns the flag on.  The symbol tables are read-only views
+    of private copies, so a signature is immutable and hashable.
     """
 
-    functions: dict[str, int] = field(default_factory=dict)
-    predicates: dict[str, int] = field(default_factory=dict)
+    functions: Mapping[str, int] = field(default_factory=dict)
+    predicates: Mapping[str, int] = field(default_factory=dict)
     with_equality: bool = False
 
     def __post_init__(self) -> None:
@@ -86,58 +95,193 @@ class Signature:
         overlap = set(fns) & set(preds)
         if overlap:
             raise ValueError(f"duplicate name across functions and predicates: {sorted(overlap)}")
-        object.__setattr__(self, "functions", fns)
-        object.__setattr__(self, "predicates", preds)
+        object.__setattr__(self, "functions", MappingProxyType(fns))
+        object.__setattr__(self, "predicates", MappingProxyType(preds))
         object.__setattr__(self, "with_equality", with_eq)
 
+    def __hash__(self) -> int:
+        return hash((frozenset(self.functions.items()), frozenset(self.predicates.items()),
+                     self.with_equality))
 
-class Term:
+    def __reduce__(self):
+        return Signature, (dict(self.functions), dict(self.predicates), self.with_equality)
+
+
+# ---------------------------------------------------------------------------
+# Hash-consed nodes
+#
+# Every term and formula node is interned (Filliatre & Conchon, "Type-safe
+# modular hash-consing", 2006): a constructor returns the one live node with
+# its class and fields, building it only on the first request.  Two equal
+# trees are therefore the same object, so ``==`` and ``hash`` are the
+# identity defaults and cost O(1).  Children are canonical before their
+# parent is built, so a node's key hashes its children by identity.  The
+# table holds its nodes weakly: an entry leaves when the last reference to
+# its node goes.  Lookups take no lock; building a missing node takes one,
+# so two threads can never publish two nodes for one key.
+
+class _Ref(weakref.ref):
+    """The table's reference to a node, with the node's key."""
+
+    __slots__ = ("key",)
+
+
+_nodes: dict[tuple, _Ref] = {}
+_lock = threading.Lock()
+_missing = type(None)  # stands in for a dead reference: calling it gives None
+
+
+def _forget(ref: _Ref) -> None:
+    # Runs when a node dies.  Removes the entry only if it still holds this
+    # dead reference, atomically, as WeakValueDictionary does.
+    _remove_dead_weakref(_nodes, ref.key)
+
+
+def _intern(key: tuple, rank: int, params: bool):
+    # key is the node's class followed by its fields in declaration order
+    cls = key[0]
+    with _lock:
+        node = _nodes.get(key, _missing)()
+        if node is None:
+            node = object.__new__(cls)
+            for set_slot, value in zip(cls._setters, (*key[1:], rank, params)):
+                set_slot(node, value)
+            ref = _nodes[key] = _Ref(node, _forget)
+            ref.key = key
+    return node
+
+
+class _Node:
+    """Interned, immutable node.  Besides its fields each node caches
+    ``min_rank``, the least n such that it depends on no variable beyond
+    slot n, and ``has_params``, whether a parameter occurs in it; both are
+    computed from the children in O(arity) when the node is built."""
+
+    __slots__ = ("min_rank", "has_params", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    min_rank: int
+    has_params: bool
+
+    def __init_subclass__(cls) -> None:
+        # slot writers, bypassing __setattr__: the fields, then the caches
+        names = cls.__match_args__ + ("min_rank", "has_params")
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which returns
+        # the canonical node
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Term(_Node):
     """Base class for term nodes (Var, Param, App)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
+    __slots__ = ("index",)
+    __match_args__ = ("index",)
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
+    def __new__(cls, index: int) -> Var:
+        key = (cls, index)
+        node = _nodes.get(key, _missing)()
+        if node is None:
+            # an equal float or bool key would stand in for the int from then on
+            if type(index) is not int or index < 1:
+                raise ValueError(f"variable index must be an int >= 1, got {index!r}")
+            node = _intern(key, index, False)
+        return node
 
 
-@dataclass(frozen=True, slots=True)
 class Param(Term):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     name: str
 
+    def __new__(cls, name: str) -> Param:
+        key = (cls, name)
+        node = _nodes.get(key, _missing)()
+        if node is None:
+            node = _intern(key, 0, True)
+        return node
 
-@dataclass(frozen=True, slots=True)
+
 class App(Term):
+    __slots__ = ("symbol", "args")
+    __match_args__ = ("symbol", "args")
     symbol: str
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
+
+    def __new__(cls, symbol: str, args: tuple[Term, ...] = ()) -> App:
+        args = tuple(args)
+        key = (cls, symbol, args)
+        node = _nodes.get(key, _missing)()
+        if node is None:
+            rank = max([a.min_rank for a in args], default=0)
+            node = _intern(key, rank, any([a.has_params for a in args]))
+        return node
 
 
-class Formula:
+class Formula(_Node):
     """Base class for formula nodes (Atom, Implies, Forall)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
+    __slots__ = ("symbol", "args")
+    __match_args__ = ("symbol", "args")
     symbol: str
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
+
+    # a symbol applied to terms, built as App builds it
+    __new__ = App.__new__
 
 
-@dataclass(frozen=True, slots=True)
 class Implies(Formula):
+    __slots__ = ("lhs", "rhs")
+    __match_args__ = ("lhs", "rhs")
     lhs: Formula
     rhs: Formula
 
+    def __new__(cls, lhs: Formula, rhs: Formula) -> Implies:
+        key = (cls, lhs, rhs)
+        node = _nodes.get(key, _missing)()
+        if node is None:
+            node = _intern(key, max(lhs.min_rank, rhs.min_rank),
+                           lhs.has_params or rhs.has_params)
+        return node
 
-@dataclass(frozen=True, slots=True)
+
 class Forall(Formula):
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
     body: Formula
+
+    def __new__(cls, body: Formula) -> Forall:
+        key = (cls, body)
+        node = _nodes.get(key, _missing)()
+        if node is None:
+            node = _intern(key, max(body.min_rank - 1, 0), body.has_params)
+        return node
+
+
+def has_params(d: Term | Formula) -> bool:
+    """Whether a parameter occurs in d (a cached read)."""
+    return d.has_params
 
 
 FALSE = Atom(FALSE_NAME, ())
@@ -346,6 +490,21 @@ class _Parser:
         return Atom(EQ_NAME, (lhs, rhs))
 
 
+def depth_guarded(parse):
+    """Report input nested past the interpreter's recursion limit (about a
+    thousand levels) as a ParseError instead of a RecursionError."""
+
+    @functools.wraps(parse)
+    def guarded(text: str, sig: Signature):
+        try:
+            return parse(text, sig)
+        except RecursionError:
+            raise ParseError("input nested too deeply") from None
+
+    return guarded
+
+
+@depth_guarded
 def parse_term(text: str, sig: Signature) -> Term:
     p = _Parser(text, sig)
     t = p.term()
@@ -353,6 +512,7 @@ def parse_term(text: str, sig: Signature) -> Term:
     return t
 
 
+@depth_guarded
 def parse_formula(text: str, sig: Signature) -> Formula:
     p = _Parser(text, sig)
     f = p.formula()

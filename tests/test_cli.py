@@ -33,6 +33,12 @@ class TestParse:
         code, out, _ = invoke("parse", "--sig", BASIC, "-", stdin="(forall P(x1))")
         assert (code, out) == (0, "(forall P(x1))\n")
 
+    def test_large_unused_quantified_index(self):
+        start = time.perf_counter()
+        code, out, _ = invoke("parse", "--sig", BASIC, "(forall x3000000 P(x1))")
+        assert (code, out) == (0, "(forall P(x2))\n")
+        assert time.perf_counter() - start < 1.0
+
     def test_parse_error_exits_2(self):
         code, out, err = invoke("parse", "--sig", BASIC, "P(x1")
         assert code == 2 and out == "" and err.startswith("error:")

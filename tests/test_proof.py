@@ -318,6 +318,15 @@ class TestTheory:
         text = print_theory(MP_THEORY)
         assert parse_theory(text, SIG) == MP_THEORY
 
+    def test_deep_nesting_is_a_parse_error(self):
+        deep = "~" * 3000 + "P(x1)"
+        with pytest.raises(ParseError, match="input nested too deeply"):
+            parse_theory(f"theory t\ns: {deep}\n", SIG)
+        with pytest.raises(ParseError, match="input nested too deeply"):
+            parse_proof(f"1. {deep} ; axiom\n", SIG)
+        with pytest.raises(ParseError, match="input nested too deeply"):
+            parse_proof(f"1. P(x1) ; ind({deep}, 1)\n", SIG)
+
 
 class TestArithmetic:
     def test_base_sentences_are_sentences(self):

@@ -1,3 +1,7 @@
+import copy
+import pickle
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,6 +22,7 @@ from folkit import (
     neg,
     parse_formula,
     parse_signature,
+    parse_substitution,
     parse_term,
     print_formula,
     print_term,
@@ -66,6 +71,20 @@ class TestSignature:
     def test_comments_and_blanks(self):
         sig = parse_signature("# header\n\nfn f 1  # unary\n")
         assert sig.functions == {"f": 1}
+
+    def test_immutable_and_hashable(self):
+        functions = {"f": 1}
+        sig = Signature(functions, {"P": 1})
+        functions["g"] = 2
+        assert sig.functions == {"f": 1}
+        with pytest.raises(TypeError):
+            sig.functions["g"] = 2
+        with pytest.raises(TypeError):
+            sig.predicates["Q"] = 0
+        assert hash(sig) == hash(sig) == hash(Signature({"f": 1}, {"P": 1}))
+        assert {sig: 1}[Signature({"f": 1}, {"P": 1, "false": 0})] == 1
+        assert hash(sig) != hash(Signature({"f": 1}, {"P": 1}, True))
+        assert pickle.loads(pickle.dumps(sig)) == sig == copy.deepcopy(sig)
 
 
 class TestTermParsing:
@@ -142,6 +161,20 @@ class TestFormulaParsing:
         with pytest.raises(ParseError):
             parse_formula("S(x1)", SIG)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="input nested too deeply"):
+            parse_formula("~" * 3000 + "P(x1)", SIG)
+        with pytest.raises(ParseError, match="input nested too deeply"):
+            parse_term("succ(" * 3000 + "x1" + ")" * 3000, SIG)
+        with pytest.raises(ParseError, match="input nested too deeply"):
+            parse_substitution("[" + "succ(" * 3000 + "x1" + ")" * 3000 + "; +0]", SIG)
+
+    def test_quantifying_a_large_unused_index_is_fast(self):
+        start = time.perf_counter()
+        got = parse_formula("(forall x3000000 P(x1))", SIG)
+        assert time.perf_counter() - start < 1.0
+        assert got == Forall(Atom("P", (Var(2),)))
+
 
 class TestPrinting:
     def test_goldens(self):
@@ -174,3 +207,14 @@ def test_formula_round_trip(f):
 def test_var_index_must_be_positive():
     with pytest.raises(ValueError):
         Var(0)
+
+
+def test_var_index_is_always_an_int():
+    # an equal float or bool is refused, or answered with the int's node
+    for index in (77.0, True, 2.0):
+        try:
+            v = Var(index)
+        except ValueError:
+            continue
+        assert type(v.index) is int
+    assert print_term(Var(77)) == "x77"
