@@ -80,7 +80,6 @@ from .proof import (
 )
 from .semantics import (
     DEFAULT_CEILING,
-    AtomicValuation,
     AuditReport,
     EvalError,
     SearchLimit,
@@ -90,7 +89,6 @@ from .semantics import (
     eval_formula,
     eval_term,
     find_countermodel,
-    herbrand_eval,
     induced_valuation_check,
     parse_env,
     parse_model,

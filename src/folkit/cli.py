@@ -16,8 +16,8 @@ from typing import TextIO
 from .proof import EMPTY_THEORY, Theory, check_proof, is_axiom, parse_proof, parse_theory
 from .semantics import (
     DEFAULT_CEILING,
-    EvalError,
     SearchLimit,
+    Structure,
     eval_formula,
     find_countermodel,
     induced_valuation_check,
@@ -36,7 +36,7 @@ from .syntax import (
     parse_term,
     print_formula,
     print_term,
-    strip_comment,
+    source_lines,
 )
 
 __all__ = ["run", "main"]
@@ -83,19 +83,16 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _read_arg(arg: str, stdin: str | None) -> str:
-    if arg == "-":
+def _read_text(args: argparse.Namespace, stdin: str | None) -> str:
+    """The text of ``arg``: stdin for '-', a file's for check and audit."""
+    if args.arg == "-":
         if stdin is None:
             raise _UsageError("'-' given but no stdin text available")
         return stdin
-    return arg
-
-
-def _read_file_arg(arg: str, stdin: str | None) -> str:
-    if arg == "-":
-        return _read_arg(arg, stdin)
-    with open(arg, encoding="utf-8") as handle:
-        return handle.read()
+    if args.command in ("check", "audit"):
+        with open(args.arg, encoding="utf-8") as handle:
+            return handle.read()
+    return args.arg
 
 
 def _parse_formula_or_term(text: str, sig: Signature) -> Formula | Term:
@@ -115,6 +112,17 @@ def _load_theory(path: str | None, sig: Signature) -> Theory:
         return parse_theory(handle.read(), sig)
 
 
+def _load_model(args: argparse.Namespace, sig: Signature) -> tuple[Structure, tuple[str, ...]]:
+    """The model file's structure and env; ``--env`` overrides the latter."""
+    if args.model is None:
+        raise _UsageError(f"{args.command} requires --model")
+    with open(args.model, encoding="utf-8") as handle:
+        structure, env = parse_model(handle.read(), sig)
+    if args.env is not None:
+        env = parse_env(args.env, structure)
+    return structure, env or ()
+
+
 def run(argv: list[str], stdin: str | None = None,
         stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
     """Execute one invocation; returns the exit code."""
@@ -129,10 +137,8 @@ def run(argv: list[str], stdin: str | None = None,
         with open(args.sig, encoding="utf-8") as handle:
             sig = parse_signature(handle.read())
         return _dispatch(args, sig, stdin, out)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except (ParseError, EvalError, SearchLimit, ValueError, OSError) as exc:
+    except (_UsageError, ValueError, SearchLimit, OSError) as exc:
+        # ParseError and EvalError are ValueErrors
         print(f"error: {exc}", file=err)
         return 2
     except RecursionError:
@@ -143,14 +149,15 @@ def run(argv: list[str], stdin: str | None = None,
 
 def _dispatch(args: argparse.Namespace, sig: Signature, stdin: str | None, out: TextIO) -> int:
     command = args.command
+    text = _read_text(args, stdin)
 
     if command == "parse":
-        node = _parse_formula_or_term(_read_arg(args.arg, stdin), sig)
+        node = _parse_formula_or_term(text, sig)
         print(print_formula(node) if isinstance(node, Formula) else print_term(node), file=out)
         return 0
 
     if command == "subst":
-        node = _parse_formula_or_term(_read_arg(args.arg, stdin), sig)
+        node = _parse_formula_or_term(text, sig)
         sigma = parse_substitution(args.substitution, sig)
         if isinstance(node, Formula):
             print(print_formula(subst_formula(node, sigma)), file=out)
@@ -159,16 +166,16 @@ def _dispatch(args: argparse.Namespace, sig: Signature, stdin: str | None, out: 
         return 0
 
     if command == "rank":
-        print(min_rank(_parse_formula_or_term(_read_arg(args.arg, stdin), sig)), file=out)
+        print(min_rank(_parse_formula_or_term(text, sig)), file=out)
         return 0
 
     if command == "freevars":
-        indices = sorted(free_vars(_parse_formula_or_term(_read_arg(args.arg, stdin), sig)))
+        indices = sorted(free_vars(_parse_formula_or_term(text, sig)))
         print(" ".join(str(i) for i in indices), file=out)
         return 0
 
     if command == "axiom":
-        tag = is_axiom(parse_formula(_read_arg(args.arg, stdin), sig), sig)
+        tag = is_axiom(parse_formula(text, sig), sig)
         if tag is None:
             print("NOT-AXIOM", file=out)
             return 1
@@ -182,7 +189,7 @@ def _dispatch(args: argparse.Namespace, sig: Signature, stdin: str | None, out: 
 
     if command == "check":
         theory = _load_theory(args.theory, sig)
-        proof = parse_proof(_read_file_arg(args.arg, stdin), sig)
+        proof = parse_proof(text, sig)
         verdict = check_proof(proof, theory, sig)
         if verdict.ok:
             print("ACCEPT", file=out)
@@ -191,20 +198,14 @@ def _dispatch(args: argparse.Namespace, sig: Signature, stdin: str | None, out: 
         return 1
 
     if command == "eval":
-        if args.model is None:
-            raise _UsageError("eval requires --model")
-        with open(args.model, encoding="utf-8") as handle:
-            structure, file_env = parse_model(handle.read(), sig)
-        env = file_env or ()
-        if args.env is not None:
-            env = parse_env(args.env, structure)
-        value = eval_formula(parse_formula(_read_arg(args.arg, stdin), sig), structure, env)
+        structure, env = _load_model(args, sig)
+        value = eval_formula(parse_formula(text, sig), structure, env)
         print("TRUE" if value else "FALSE", file=out)
         return 0 if value else 1
 
     if command == "countermodel":
         theory = _load_theory(args.theory, sig)
-        formula = parse_formula(_read_arg(args.arg, stdin), sig)
+        formula = parse_formula(text, sig)
         found = find_countermodel(theory, formula, sig, args.max_size, args.ceiling)
         if found is None:
             print(f"NONE size<={args.max_size}", file=out)
@@ -214,19 +215,10 @@ def _dispatch(args: argparse.Namespace, sig: Signature, stdin: str | None, out: 
         return 1
 
     if command == "audit":
-        if args.model is None:
-            raise _UsageError("audit requires --model")
-        with open(args.model, encoding="utf-8") as handle:
-            structure, file_env = parse_model(handle.read(), sig)
-        env = file_env or ()
-        if args.env is not None:
-            env = parse_env(args.env, structure)
+        structure, env = _load_model(args, sig)
         samples: list[Formula] = []
         terms: list[Term] = []
-        for raw in _read_file_arg(args.arg, stdin).splitlines():
-            line = strip_comment(raw)
-            if not line:
-                continue
+        for _, line in source_lines(text):
             if line.startswith("term "):
                 terms.append(parse_term(line[len("term "):], sig))
             else:

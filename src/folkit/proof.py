@@ -11,7 +11,7 @@ witness data to rebuild the instance exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .subst import (
     forall_var,
@@ -35,12 +35,10 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    check_formula,
-    depth_guarded,
     has_params,
     parse_formula,
     print_formula,
-    strip_comment,
+    source_lines,
 )
 
 __all__ = [
@@ -306,7 +304,7 @@ def is_axiom(f: Formula, sig: Signature) -> AxiomTag | None:
     for matcher in matchers:
         tag = matcher(f)
         if tag is not None:
-            return AxiomTag(tag.schema, tag.parts, tag.witness, tag.var_pair, stripped)
+            return replace(tag, stripped=stripped) if stripped else tag
     return None
 
 
@@ -490,15 +488,11 @@ def induction_sentence(a: Formula, i: int) -> Formula:
 # Theory files: "theory NAME" header, optional "with-induction", then
 # "name: FORMULA" lines.
 
-@depth_guarded
 def parse_theory(text: str, sig: Signature) -> Theory:
     name: str | None = None
     has_induction = False
     sentences: list[tuple[str, Formula]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = strip_comment(raw)
-        if not line:
-            continue
+    for lineno, line in source_lines(text):
         if name is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "theory":
@@ -512,9 +506,7 @@ def parse_theory(text: str, sig: Signature) -> Theory:
             raise ParseError(f"line {lineno}: expected 'NAME: FORMULA'")
         sent_name, formula_text = line.split(":", 1)
         sent_name = sent_name.strip()
-        f = parse_formula(formula_text, sig)
-        check_formula(f, sig)
-        sentences.append((sent_name, f))
+        sentences.append((sent_name, parse_formula(formula_text, sig)))
     if name is None:
         raise ParseError("missing 'theory NAME' header")
     try:
@@ -561,20 +553,15 @@ def _parse_justification(text: str, sig: Signature, lineno: int) -> Justificatio
         except ValueError:
             raise ParseError(f"line {lineno}: ind variable must be an integer") from None
         f = parse_formula(formula_text, sig)
-        check_formula(f, sig)
         if has_params(f):
             raise ParseError(f"line {lineno}: parameters are not allowed in proofs")
         return ByInd(f, var)
     raise ParseError(f"line {lineno}: bad justification {text!r}")
 
 
-@depth_guarded
 def parse_proof(text: str, sig: Signature) -> Proof:
     lines: list[ProofLine] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = strip_comment(raw)
-        if not line:
-            continue
+    for lineno, line in source_lines(text):
         m = _LINE_RE.fullmatch(line)
         if m is None:
             raise ParseError(f"line {lineno}: expected 'N. FORMULA ; JUSTIFICATION'")
@@ -586,7 +573,6 @@ def parse_proof(text: str, sig: Signature) -> Proof:
             raise ParseError(f"line {lineno}: missing ';' before the justification")
         formula_text, just_text = rest.split(";", 1)
         f = parse_formula(formula_text, sig)
-        check_formula(f, sig)
         if has_params(f):
             raise ParseError(f"line {lineno}: parameters are not allowed in proofs")
         lines.append(ProofLine(f, _parse_justification(just_text, sig, lineno)))

@@ -30,7 +30,6 @@ from .syntax import (
     EQ_NAME,
     FALSE,
     FALSE_NAME,
-    App,
     Atom,
     Forall,
     Formula,
@@ -40,17 +39,15 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    check_formula,
     has_params,
     print_formula,
-    strip_comment,
+    source_lines,
 )
 
 __all__ = [
     "EvalError",
     "SearchLimit",
     "Structure",
-    "AtomicValuation",
     "eval_term",
     "eval_formula",
     "ConditionReport",
@@ -59,7 +56,6 @@ __all__ = [
     "count_structures",
     "enumerate_structures",
     "find_countermodel",
-    "herbrand_eval",
     "DEFAULT_CEILING",
     "parse_model",
     "print_model",
@@ -75,8 +71,7 @@ Env = tuple[str, ...]
 
 class EvalError(ValueError):
     """Raised when evaluation preconditions fail (short environment,
-    unknown symbol, parameter or environment element outside the carrier,
-    bad Herbrand input)."""
+    unknown symbol, parameter or environment element outside the carrier)."""
 
 
 class SearchLimit(RuntimeError):
@@ -384,7 +379,7 @@ def induced_valuation_check(
 
     reflexivity = ConditionReport("equality reflexivity")
     replacement = ConditionReport("equality replacement")
-    if EQ_NAME in structure.pred_tables:
+    if EQ_NAME in structure._preds:
         max_n = max((min_rank(s) for s in samples), default=0)
         for n in range(max_n + 1):
             for j in range(1, max_n + 2):
@@ -519,56 +514,6 @@ def find_countermodel(
 
 
 # ---------------------------------------------------------------------------
-# Herbrand evaluation over constants
-
-@dataclass(frozen=True)
-class AtomicValuation:
-    """The chosen true ground atoms; the falsum is never among them."""
-
-    atoms: frozenset[Atom]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
-        for atom in self.atoms:
-            if not isinstance(atom, Atom):
-                raise ValueError(f"not an atomic formula: {atom!r}")
-            if atom == FALSE:
-                raise ValueError("the falsum cannot be a true atom")
-            if min_rank(atom) or has_params(atom):
-                raise ValueError(f"atom is not closed: {print_formula(atom)}")
-
-
-def herbrand_eval(valuation: AtomicValuation, formula: Formula, sig: Signature) -> bool:
-    """Evaluate a closed formula with atoms true exactly when chosen and
-    the quantifier ranging over the signature's constant terms.  Only
-    equality-free signatures whose function symbols are all constants
-    have a finite term universe, so anything else is rejected."""
-    if sig.with_equality:
-        raise EvalError("herbrand evaluation requires a signature without equality")
-    bad = [name for name, arity in sig.functions.items() if arity > 0]
-    if bad:
-        raise EvalError(f"non-constant function symbols have an infinite term universe: {sorted(bad)}")
-    if has_params(formula) or min_rank(formula) != 0:
-        raise EvalError("herbrand evaluation needs a closed, parameter-free formula")
-    check_formula(formula, sig)
-    for atom in valuation.atoms:
-        check_formula(atom, sig)
-    constants = [App(name) for name in sorted(sig.functions)]
-
-    def go(f: Formula) -> bool:
-        ty = type(f)
-        if ty is Atom:
-            return f in valuation.atoms
-        if ty is Implies:
-            return (not go(f.lhs)) or go(f.rhs)
-        if not constants:
-            raise EvalError("empty universe: no constants to quantify over")
-        return all(go(subst_formula(f.body, instantiate(c))) for c in constants)
-
-    return go(formula)
-
-
-# ---------------------------------------------------------------------------
 # Model files: "domain e1 e2 ...", "fn NAME: a b -> c", "pred NAME: a b",
 # optional "env e1 e2 ...".
 
@@ -577,10 +522,7 @@ def parse_model(text: str, sig: Signature) -> tuple[Structure, Env | None]:
     fn_tables: dict[str, dict[tuple[str, ...], str]] = {}
     pred_tables: dict[str, set[tuple[str, ...]]] = {}
     env: Env | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = strip_comment(raw)
-        if not line:
-            continue
+    for lineno, line in source_lines(text):
         parts = line.split()
         if parts[0] == "domain":
             if domain is not None:
@@ -636,15 +578,15 @@ def parse_model(text: str, sig: Signature) -> tuple[Structure, Env | None]:
 
 def print_model(structure: Structure, env: Env | None = None) -> str:
     lines = ["domain " + " ".join(structure.domain)]
-    for name in sorted(structure.fn_tables):
-        table = structure.fn_tables[name]
+    # each read of fn_tables or pred_tables decodes every table
+    for name, table in sorted(structure.fn_tables.items()):
         for args in sorted(table):
             args_text = (" " + " ".join(args)) if args else ""
             lines.append(f"fn {name}:{args_text} -> {table[args]}")
-    for name in sorted(structure.pred_tables):
+    for name, members in sorted(structure.pred_tables.items()):
         if name in (FALSE_NAME, EQ_NAME):
             continue
-        for entry in sorted(structure.pred_tables[name]):
+        for entry in sorted(members):
             lines.append(f"pred {name}: {' '.join(entry)}")
     if env is not None:
         lines.append(("env " + " ".join(env)).rstrip())

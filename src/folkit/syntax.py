@@ -523,8 +523,13 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 # ---------------------------------------------------------------------------
 # Signature files
 
-def strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def source_lines(text: str):
+    """Yield ``(lineno, line)`` for each line of a file in any of the line
+    formats that is not blank once its ``#`` comment is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def parse_signature(text: str) -> Signature:
@@ -537,10 +542,7 @@ def parse_signature(text: str) -> Signature:
     predicates: dict[str, int] = {}
     with_equality = False
     seen_decl = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = strip_comment(raw)
-        if not line:
-            continue
+    for lineno, line in source_lines(text):
         if line == "with-equality":
             if seen_decl or with_equality:
                 raise ParseError(f"line {lineno}: with-equality must be the first directive")

@@ -1,6 +1,7 @@
-"""Reference oracle for ``folkit.semantics``: the evaluator over
+"""Reference oracles for ``folkit.semantics``: the evaluator over
 name-keyed tables that the library used before it switched to integer
-encoding, and a naive countermodel search built on it.
+encoding, a naive countermodel search built on it, and Herbrand
+evaluation over constants.
 
 Differential tests compare the library against these.  The oracle reads
 a structure only through its public name-keyed views, decoded once per
@@ -10,9 +11,12 @@ structure by :func:`named_tables`.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from folkit import (
+    FALSE,
+    App,
     Atom,
     EvalError,
     Forall,
@@ -23,8 +27,13 @@ from folkit import (
     Term,
     Theory,
     Var,
+    check_formula,
     enumerate_structures,
+    has_params,
+    instantiate,
     min_rank,
+    print_formula,
+    subst_formula,
 )
 
 Env = tuple[str, ...]
@@ -86,3 +95,53 @@ def naive_countermodel(theory: Theory, formula: Formula, sig: Signature, max_siz
                     if not eval_formula(formula, model, env):
                         return structure, env
     return None
+
+
+# ---------------------------------------------------------------------------
+# Herbrand evaluation over constants
+
+@dataclass(frozen=True)
+class AtomicValuation:
+    """The chosen true ground atoms; the falsum is never among them."""
+
+    atoms: frozenset[Atom]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "atoms", frozenset(self.atoms))
+        for atom in self.atoms:
+            if not isinstance(atom, Atom):
+                raise ValueError(f"not an atomic formula: {atom!r}")
+            if atom == FALSE:
+                raise ValueError("the falsum cannot be a true atom")
+            if min_rank(atom) or has_params(atom):
+                raise ValueError(f"atom is not closed: {print_formula(atom)}")
+
+
+def herbrand_eval(valuation: AtomicValuation, formula: Formula, sig: Signature) -> bool:
+    """Evaluate a closed formula with atoms true exactly when chosen and
+    the quantifier ranging over the signature's constant terms.  Only
+    equality-free signatures whose function symbols are all constants
+    have a finite term universe, so anything else is rejected."""
+    if sig.with_equality:
+        raise EvalError("herbrand evaluation requires a signature without equality")
+    bad = [name for name, arity in sig.functions.items() if arity > 0]
+    if bad:
+        raise EvalError(f"non-constant function symbols have an infinite term universe: {sorted(bad)}")
+    if has_params(formula) or min_rank(formula) != 0:
+        raise EvalError("herbrand evaluation needs a closed, parameter-free formula")
+    check_formula(formula, sig)
+    for atom in valuation.atoms:
+        check_formula(atom, sig)
+    constants = [App(name) for name in sorted(sig.functions)]
+
+    def go(f: Formula) -> bool:
+        ty = type(f)
+        if ty is Atom:
+            return f in valuation.atoms
+        if ty is Implies:
+            return (not go(f.lhs)) or go(f.rhs)
+        if not constants:
+            raise EvalError("empty universe: no constants to quantify over")
+        return all(go(subst_formula(f.body, instantiate(c))) for c in constants)
+
+    return go(formula)

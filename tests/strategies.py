@@ -8,6 +8,7 @@ strategies for shrinking.
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 
 from hypothesis import strategies as st
@@ -322,3 +323,26 @@ def substitutions(sig: Signature = SIG3, max_var: int = 4) -> st.SearchStrategy[
             lambda d: Substitution(tuple(prefix), d)
         )
     )
+
+
+# a name, a variable or a parameter, an arrow, a run of blanks, or any one
+# other character
+_TOKEN_RE = re.compile(r"\s+|->|\$?\w+|.", re.S)
+
+
+def mutated(text: str, pieces: tuple[str, ...], max_edits: int = 3) -> st.SearchStrategy[str]:
+    """``text`` after up to ``max_edits`` edits, each of which replaces
+    none, one or two adjacent tokens with one of ``pieces`` or with
+    nothing."""
+    choices = ("",) + pieces
+
+    @st.composite
+    def edit(draw) -> str:
+        tokens = _TOKEN_RE.findall(text)
+        for _ in range(draw(st.integers(0, max_edits))):
+            i = draw(st.integers(0, len(tokens)))
+            j = i + draw(st.sampled_from((1, 0, 2)))
+            tokens[i:j] = [draw(st.sampled_from(choices))]
+        return "".join(tokens)
+
+    return edit()

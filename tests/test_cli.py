@@ -1,10 +1,17 @@
 """Golden invocation triples: (argv, stdin) -> (exit code, stdout)."""
 
+import functools
 import io
 import time
 from pathlib import Path
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from folkit import Implies, eval_formula, induced_valuation_check
+from folkit import cli
 from folkit.cli import run
+from strategies import mutated
 
 DATA = Path(__file__).parent / "data"
 BASIC = str(DATA / "basic.fol")
@@ -219,3 +226,153 @@ class TestContract:
         first = invoke(*argv)
         second = invoke(*argv)
         assert first == second
+
+
+class TestModelLoading:
+    def test_eval_and_audit_require_a_model(self):
+        for argv in (
+            ("eval", "--sig", PAIR_SIG, "R(x1,x2)"),
+            ("audit", "--sig", PAIR_SIG, str(DATA / "pair_samples.fol")),
+        ):
+            code, out, err = invoke(*argv)
+            assert (code, out, err) == (2, "", f"error: {argv[0]} requires --model\n")
+
+    def test_env_overrides_the_model_env_line(self, tmp_path):
+        # --env E reads as the model file with "env E" in place of its own
+        # env line ("env 0 1"); both commands show the difference
+        model = tmp_path / "model.fol"
+        model.write_text(Path(PAIR_MODEL).read_text().replace("env 0 1", "env 1 0 1"))
+        for argv in (
+            ("eval", "--sig", PAIR_SIG, "R(x1,x2)"),
+            ("audit", "--sig", PAIR_SIG, str(DATA / "pair_samples.fol")),
+        ):
+            from_file = invoke(*argv, "--model", PAIR_MODEL)
+            overridden = invoke(*argv, "--model", PAIR_MODEL, "--env", "1 0 1")
+            assert overridden == invoke(*argv, "--model", str(model))
+            assert overridden[1] != from_file[1]
+
+    def test_env_element_outside_the_carrier_exits_2(self):
+        for argv in (
+            ("eval", "--sig", PAIR_SIG, "R(x1,x2)"),
+            ("audit", "--sig", PAIR_SIG, str(DATA / "pair_samples.fol")),
+        ):
+            code, out, err = invoke(*argv, "--model", PAIR_MODEL, "--env", "0 7")
+            assert (code, out, err) == (2, "", "error: env element '7' not in the domain\n")
+
+    def test_failing_audit_exits_1(self, monkeypatch):
+        # the library's evaluator passes every audit, so the audit is given
+        # one that takes every implication to be true
+        def broken(f, structure, env):
+            return isinstance(f, Implies) or eval_formula(f, structure, env)
+
+        monkeypatch.setattr(
+            cli, "induced_valuation_check",
+            functools.partial(induced_valuation_check, eval_fn=broken),
+        )
+        code, out, _ = invoke(
+            "audit", "--sig", PAIR_SIG, "--model", PAIR_MODEL, str(DATA / "pair_samples.fol")
+        )
+        assert code == 1
+        assert "condition 2 (implication is material): FAIL" in out
+        assert out.endswith("AUDIT FAIL\n")
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract over valid and mutated input
+
+COMMANDS = ("parse", "subst", "rank", "freevars", "axiom", "check", "eval", "countermodel", "audit")
+VERDICT_COMMANDS = {"axiom", "check", "eval", "countermodel", "audit"}
+
+FORMULAS = (
+    "R(x1,x2)",
+    "~R(x1,x1)",
+    "(forall R(x1,x2))",
+    "g(x1) = x2",
+    "(forall x2 (R(x1,x2) -> R(x2,x1)))",
+    "((forall R(x1,x1)) -> R(g(x1),g(x1)))",
+    "g(g(x1))",
+    "P(f(c()))",
+)
+SUBSTITUTIONS = ("[g(x1); +1]", "[x2, x1; +0]", "[; -1]", "[$0; +2]")
+THEORY = "theory t\nwith-induction\nrefl: (forall R(x1,x1))\n"
+PROOF = (
+    "1. (forall R(x1,x1)) ; hyp refl\n"
+    "2. ((forall R(x1,x1)) -> R(g(x1),g(x1))) ; axiom\n"
+    "3. R(g(x1),g(x1)) ; mp 1 2\n"
+)
+MODEL = Path(PAIR_MODEL).read_text()
+SAMPLES = (DATA / "pair_samples.fol").read_text()
+
+# Mutations splice these in.  Formula text gets no bare digits: they would
+# grow variable indices, and audit's equality conditions quantify over
+# every slot up to the largest one, at a cost exponential in it.
+FORMULA_PIECES = ("g", "R", "P", "f", "c", "eq", "~", "(", ")", "->", ",", "=", "x1", "x2",
+                  "x3", "$0", "$m", "false", "forall", "(forall x2 ", "-")
+SAMPLE_PIECES = FORMULA_PIECES + ("\n", "#", "term ")
+FILE_PIECES = SAMPLE_PIECES + (":", ";", "0", "1", "domain", "fn", "pred", "env", "theory",
+                               "with-induction", "hyp", "axiom", "mp", "ind(", "[", "]", "+1")
+
+
+@st.composite
+def invocations(draw, tmp: Path):
+    """An argv for one of the nine commands with its stdin text, writing
+    the model, theory, proof and sample files it names under ``tmp``.
+    Signature files are never mutated: one large arity makes the tables
+    of a structure, and the count of candidates, astronomically large."""
+
+    def text(source: str, pieces: tuple[str, ...]) -> str:
+        return draw(st.just(source) | mutated(source, pieces, max_edits=2))
+
+    def file(name: str, source: str, pieces: tuple[str, ...]) -> str:
+        path = tmp / name
+        path.write_text(text(source, pieces))
+        return str(path)
+
+    command = draw(st.sampled_from(COMMANDS))
+    sig = draw(st.sampled_from((PAIR_SIG, PAIR_SIG, PAIR_SIG, BASIC, ARITH_SIG)))
+    argv = [command, "--sig", sig]
+    if command in ("check", "countermodel") and draw(st.booleans()):
+        argv += ["--theory", file("theory.fol", THEORY, FILE_PIECES)]
+    if command in ("eval", "audit"):
+        if draw(st.integers(0, 4)):
+            argv += ["--model", file("model.fol", MODEL, FILE_PIECES)]
+        env = draw(st.sampled_from((None, None, "0 1", "1 0 1", "0", "", "7")))
+        if env is not None:
+            argv += ["--env", env]
+    if command == "countermodel":
+        size = draw(st.sampled_from((None, "1", "2", "0", "-1", "x")))
+        if size is not None:
+            argv += ["--max-size", size]
+    if command == "check":
+        arg = text(PROOF, FILE_PIECES)
+    elif command == "audit":
+        arg = text(SAMPLES, SAMPLE_PIECES)
+    else:
+        arg = text(draw(st.sampled_from(FORMULAS)), FORMULA_PIECES)
+    stdin = None
+    how = draw(st.sampled_from(("arg", "arg", "arg", "stdin", "no stdin")))
+    if how == "arg":
+        if command in ("check", "audit"):
+            (tmp / "input.fol").write_text(arg)
+            arg = str(tmp / "input.fol")
+        argv.append(arg)
+    else:
+        argv.append("-")
+        stdin = arg if how == "stdin" else None
+    if command == "subst":
+        argv.append(text(draw(st.sampled_from(SUBSTITUTIONS)), FILE_PIECES))
+    return argv, stdin
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_exit_code_contract(tmp_path, data):
+    argv, stdin = data.draw(invocations(tmp_path))
+    code, out, err = invoke(*argv, stdin=stdin)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert argv[0] in VERDICT_COMMANDS
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""

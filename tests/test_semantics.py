@@ -11,7 +11,6 @@ from folkit import (
     FALSE,
     App,
     Atom,
-    AtomicValuation,
     EvalError,
     Forall,
     Implies,
@@ -29,7 +28,6 @@ from folkit import (
     find_countermodel,
     forall_n,
     free_vars,
-    herbrand_eval,
     induced_valuation_check,
     instantiate,
     is_axiom,
@@ -41,6 +39,7 @@ from folkit import (
     subst_term,
 )
 import reference_semantics as reference
+from reference_semantics import AtomicValuation, herbrand_eval
 from strategies import (
     SIG3,
     SIG3EQ,

@@ -4,6 +4,7 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkit import (
     FALSE,
@@ -27,7 +28,7 @@ from folkit import (
     print_formula,
     print_term,
 )
-from strategies import SIG3, formulas, terms
+from strategies import SIG3, SIG3EQ, formulas, mutated, terms
 
 SIG = Signature({"zero": 0, "succ": 1, "plus": 2}, {"P": 1, "Q": 2}, True)
 
@@ -218,3 +219,50 @@ def test_var_index_is_always_an_int():
             continue
         assert type(v.index) is int
     assert print_term(Var(77)) == "x77"
+
+
+# SIG3EQ's symbols at other arities: text printed over it must be refused.
+_MISARITY = Signature({"a": 1, "f": 2, "g": 1}, {"P": 2, "Q": 1, "R": 1}, True)
+# Tokens of SIG3EQ's surface syntax that the mutations splice in.
+_PIECES = ("a", "f", "g", "P", "Q", "R", "eq", "~", "(", ")", "->", ",", "=", "x1", "x2",
+           "$m", "false", "(forall ", "(forall x2 ")
+
+
+def _sugared(f: Formula) -> str:
+    """Text using the ``~``, ``=`` and ``forall xi`` sugar.  It need not read
+    back as ``f``: ``(forall x1 A)`` re-binds, which is fine for parsing."""
+    if isinstance(f, Atom):
+        if f.symbol == "eq":
+            return f"{print_term(f.args[0])} = {print_term(f.args[1])}"
+        return print_formula(f)
+    if isinstance(f, Implies):
+        if f.rhs == FALSE:
+            return f"~{_sugared(f.lhs)}"
+        return f"({_sugared(f.lhs)} -> {_sugared(f.rhs)})"
+    return f"(forall x1 {_sugared(f.body)})"
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_accepted_formula_text_passes_check_formula(data):
+    # the parser enforces what check_formula checks, so the proof and
+    # theory parsers need not walk its output again
+    f = data.draw(formulas(data.draw(st.sampled_from((SIG3EQ, _MISARITY))), params=("m",)))
+    text = data.draw(mutated(data.draw(st.sampled_from((print_formula(f), _sugared(f)))), _PIECES))
+    try:
+        parsed = parse_formula(text, SIG3EQ)
+    except ParseError:
+        return
+    check_formula(parsed, SIG3EQ)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_accepted_term_text_passes_check_term(data):
+    t = data.draw(terms(data.draw(st.sampled_from((SIG3EQ, _MISARITY))), params=("m",)))
+    text = data.draw(mutated(print_term(t), _PIECES))
+    try:
+        parsed = parse_term(text, SIG3EQ)
+    except ParseError:
+        return
+    check_term(parsed, SIG3EQ)
