@@ -7,9 +7,11 @@ evaluate to themselves, so taking the parameter set to be the carrier
 makes every element nameable and lets the quantifier range over carrier
 elements in place of arbitrary terms.
 
-Internally a structure is integer-encoded over ``range(k)`` and a single
-evaluator walks formulas over those integers; element names are mapped
-to indices on the way in and back on the way out.
+Internally a structure is integer-encoded over ``range(k)``.  Each
+formula is compiled once, on first evaluation, into code over those
+integers; the code is kept on the formula node and dies with it.
+Element names are mapped to indices on the way in and back on the way
+out.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ Env = tuple[str, ...]
 
 class EvalError(ValueError):
     """Raised when evaluation preconditions fail (short environment,
-    unknown symbol, parameter or environment element outside the carrier)."""
+    unknown symbol, parameter or environment element outside the carrier,
+    formula nested too deeply)."""
 
 
 class SearchLimit(RuntimeError):
@@ -155,11 +158,13 @@ class Structure:
             if _ELEMENT_RE.fullmatch(m) is None:
                 raise ValueError(f"invalid carrier element {m!r}")
         index = {m: i for i, m in enumerate(domain)}
+        k = len(domain)
         arity = _arities(sig)
-        # row -> row-major position, for each arity in the signature
+        # row -> row-major position, for each function arity: a function
+        # table lists every row anyway
         positions = {
             n: {row: p for p, row in enumerate(itertools.product(domain, repeat=n))}
-            for n in set(arity.values())
+            for n in set(sig.functions.values())
         }
         fn_tables = fn_tables or {}
         for name in fn_tables:
@@ -180,18 +185,17 @@ class Structure:
 
         preds = {name: frozenset() for name in sig.predicates}
         if sig.with_equality:
-            k = len(domain)
             preds[EQ_NAME] = frozenset(range(0, k * k, k + 1))  # the positions of (m, m)
         for name, members in (pred_tables or {}).items():
             n = sig.predicates.get(name)
             if n is None:
                 raise ValueError(f"table for undeclared predicate {name!r}")
-            rows = positions[n]
+            # the positions of the members only, from their element indices
             members = frozenset(members)
-            bad = members - rows.keys()
-            if bad:
+            encoded = frozenset([_position(row, n, k, index) for row in members])
+            if None in encoded:
+                bad = [row for row in members if _position(row, n, k, index) is None]
                 raise ValueError(f"bad entry {min(bad, key=repr)!r} in table for {name!r}")
-            encoded = frozenset(map(rows.__getitem__, members))
             if name in (FALSE_NAME, EQ_NAME) and encoded != preds[name]:
                 raise ValueError(f"the table for {name!r} is fixed and cannot be overridden")
             preds[name] = encoded
@@ -202,76 +206,212 @@ def _arities(sig: Signature) -> dict[str, int]:
     return {**sig.functions, **sig.predicates}
 
 
-# ---------------------------------------------------------------------------
-# The evaluator.  It works on element indices: ``env`` holds the index of
-# the value of x(i+1) at position i, and a quantifier prepends each carrier
-# index in turn.  Element names appear only in the public wrappers below.
+def _position(row: tuple[str, ...], n: int, k: int, index: dict[str, int]) -> int | None:
+    """The row-major position of a row of n carrier elements, or None
+    when ``row`` is not one."""
+    if not isinstance(row, tuple) or len(row) != n:
+        return None
+    pos = 0
+    for m in row:
+        i = index.get(m)
+        if i is None:
+            return None
+        pos = pos * k + i
+    return pos
 
-def _value(t: Term, k: int, fns, index, env: tuple[int, ...]) -> int:
+
+# ---------------------------------------------------------------------------
+# The evaluator.  Each formula is compiled once into nested closures over
+# ``(k, fns, preds, index, env)`` (Feeley & Lapalme, "Using closures for
+# code generation", 1987), and the code is kept on the node, so equal
+# formulas, being one object, share it.  ``env`` holds the index of the
+# value of x(i+1) at position i, and a quantifier prepends each carrier
+# index in turn.  Element names appear only in the public wrappers below.
+#
+# A node's shape is decided when it is compiled, but every error is raised
+# when evaluation reaches the node, as a tree walk would raise it: a short
+# environment or a missing table on a branch never taken is no error.
+# Child code is bound as default arguments, which cost less memory than
+# closure cells, and no code refers to a node, so a node still dies by
+# reference count and takes its code with it.  Only finished code is
+# stored; two threads may both compile a node, and either copy is right.
+
+_store_code = Formula._code.__set__
+
+
+def _short(env: tuple[int, ...], i: int) -> EvalError:
+    return EvalError(f"environment of length {len(env)} is too short for x{i}")
+
+
+def _no_table(kind: str, symbol: str) -> EvalError:
+    return EvalError(f"no table for {kind} {symbol!r}")
+
+
+def _term(t: Term):
+    """Code ``(k, fns, index, env) -> element index`` for the term ``t``."""
     ty = type(t)
     if ty is Var:
-        try:
-            return env[t.index - 1]
-        except IndexError:
-            raise EvalError(
-                f"environment of length {len(env)} is too short for x{t.index}"
-            ) from None
+        def code(k, fns, index, env, i=t.index - 1):
+            try:
+                return env[i]
+            except IndexError:
+                raise _short(env, i + 1) from None
+        return code
     if ty is Param:
-        try:
-            return index[t.name]
-        except KeyError:
-            raise EvalError(f"parameter {t.name!r} is not a carrier element") from None
+        def code(k, fns, index, env, name=t.name):
+            try:
+                return index[name]
+            except KeyError:
+                raise EvalError(f"parameter {name!r} is not a carrier element") from None
+        return code
+    symbol, args = t.symbol, tuple(map(_term, t.args))
+    if len(args) == 1:
+        def code(k, fns, index, env, symbol=symbol, a=args[0]):
+            try:
+                table = fns[symbol]
+            except KeyError:
+                raise _no_table("function", symbol) from None
+            return table[a(k, fns, index, env)]
+    elif len(args) == 2:
+        def code(k, fns, index, env, symbol=symbol, a=args[0], b=args[1]):
+            try:
+                table = fns[symbol]
+            except KeyError:
+                raise _no_table("function", symbol) from None
+            return table[a(k, fns, index, env) * k + b(k, fns, index, env)]
+    else:
+        def code(k, fns, index, env, symbol=symbol, args=args):
+            try:
+                table = fns[symbol]
+            except KeyError:
+                raise _no_table("function", symbol) from None
+            pos = 0
+            for a in args:
+                pos = pos * k + a(k, fns, index, env)
+            return table[pos]
+    return code
+
+
+def _atom(symbol: str, args: tuple[Term, ...]):
+    """Code ``(k, fns, preds, index, env) -> bool`` for ``symbol(*args)``.
+    Arities up to two compute the row position inline, and variables
+    index the environment directly."""
+    if not args:
+        def code(k, fns, preds, index, env, symbol=symbol):
+            try:
+                return 0 in preds[symbol]
+            except KeyError:
+                raise _no_table("predicate", symbol) from None
+        return code
+    if len(args) <= 2 and all(type(a) is Var for a in args):
+        if len(args) == 1:
+            def code(k, fns, preds, index, env, symbol=symbol, i=args[0].index - 1):
+                try:
+                    table = preds[symbol]
+                    return env[i] in table
+                except KeyError:
+                    raise _no_table("predicate", symbol) from None
+                except IndexError:
+                    raise _short(env, i + 1) from None
+            return code
+        def code(k, fns, preds, index, env, symbol=symbol,
+                 i=args[0].index - 1, j=args[1].index - 1):
+            try:
+                table = preds[symbol]
+                return env[i] * k + env[j] in table
+            except KeyError:
+                raise _no_table("predicate", symbol) from None
+            except IndexError:
+                raise _short(env, (i if i >= len(env) else j) + 1) from None
+        return code
+    args = tuple(map(_term, args))
+    if len(args) == 1:
+        def code(k, fns, preds, index, env, symbol=symbol, a=args[0]):
+            try:
+                table = preds[symbol]
+            except KeyError:
+                raise _no_table("predicate", symbol) from None
+            return a(k, fns, index, env) in table
+    elif len(args) == 2:
+        def code(k, fns, preds, index, env, symbol=symbol, a=args[0], b=args[1]):
+            try:
+                table = preds[symbol]
+            except KeyError:
+                raise _no_table("predicate", symbol) from None
+            return a(k, fns, index, env) * k + b(k, fns, index, env) in table
+    else:
+        def code(k, fns, preds, index, env, symbol=symbol, args=args):
+            try:
+                table = preds[symbol]
+            except KeyError:
+                raise _no_table("predicate", symbol) from None
+            pos = 0
+            for a in args:
+                pos = pos * k + a(k, fns, index, env)
+            return pos in table
+    return code
+
+
+def _compile(f: Formula):
+    """The code ``(k, fns, preds, index, env) -> bool`` of ``f``: read
+    from the node, or compiled and stored there on first use."""
     try:
-        table = fns[t.symbol]
-    except KeyError:
-        raise EvalError(f"no table for function {t.symbol!r}") from None
-    pos = 0
-    for a in t.args:
-        pos = pos * k + _value(a, k, fns, index, env)
-    return table[pos]
-
-
-def _holds(f: Formula, k: int, fns, preds, index, env: tuple[int, ...]) -> bool:
+        return f._code
+    except AttributeError:
+        pass
     ty = type(f)
     if ty is Atom:
-        try:
-            table = preds[f.symbol]
-        except KeyError:
-            raise EvalError(f"no table for predicate {f.symbol!r}") from None
-        pos = 0
-        for a in f.args:
-            pos = pos * k + _value(a, k, fns, index, env)
-        return pos in table
-    if ty is Implies:
-        return not _holds(f.lhs, k, fns, preds, index, env) or _holds(
-            f.rhs, k, fns, preds, index, env
-        )
-    if ty is Forall:
-        body = f.body
-        for m in range(k):
-            if not _holds(body, k, fns, preds, index, (m,) + env):
-                return False
-        return True
-    raise EvalError(f"not a formula: {f!r}")
+        code = _atom(f.symbol, f.args)
+    elif ty is Implies and type(f.rhs) is Implies:
+        # (a -> (b -> c)) takes one function, not two: the implication
+        # chains of axiom instances are most of the nodes compiled
+        def code(k, fns, preds, index, env, a=_compile(f.lhs), b=_compile(f.rhs.lhs),
+                 c=_compile(f.rhs.rhs)):
+            return (not a(k, fns, preds, index, env) or not b(k, fns, preds, index, env)
+                    or c(k, fns, preds, index, env))
+    elif ty is Implies:
+        def code(k, fns, preds, index, env, lhs=_compile(f.lhs), rhs=_compile(f.rhs)):
+            return not lhs(k, fns, preds, index, env) or rhs(k, fns, preds, index, env)
+    elif ty is Forall and f.body.min_rank == 0:
+        # the body reads no variable, so one carrier element decides it
+        # (a carrier is never empty)
+        code = _compile(f.body)
+    elif ty is Forall:
+        def code(k, fns, preds, index, env, body=_compile(f.body)):
+            for m in range(k):
+                if not body(k, fns, preds, index, (m,) + env):
+                    return False
+            return True
+    else:
+        def code(k, fns, preds, index, env, message=f"not a formula: {f!r}"):
+            raise EvalError(message)
+        return code
+    _store_code(f, code)
+    return code
 
 
-def _encode_env(structure: Structure, env: Env) -> tuple[int, ...]:
-    index = structure._index
-    try:
-        return tuple(map(index.__getitem__, env))
-    except KeyError:
-        bad = next(m for m in env if m not in index)
-        raise EvalError(f"environment element {bad!r} is not a carrier element") from None
+def _outside(env: Env, index: dict[str, int]) -> EvalError:
+    bad = next(m for m in env if m not in index)
+    return EvalError(f"environment element {bad!r} is not a carrier element")
 
 
 def eval_term(t: Term, structure: Structure, env: Env) -> str:
     """The carrier element that ``t`` denotes when x(i+1) is ``env[i]``.
 
     Raises :class:`EvalError` for a short environment, an environment
-    element or parameter outside the carrier, or an unknown symbol.
+    element or parameter outside the carrier, an unknown symbol, or a
+    term nested too deeply to evaluate.
     """
     s = structure
-    return s.domain[_value(t, len(s.domain), s._fns, s._index, _encode_env(s, env))]
+    index = s._index
+    try:
+        ienv = tuple(map(index.__getitem__, env))
+    except KeyError:
+        raise _outside(env, index) from None
+    try:
+        return s.domain[_term(t)(len(s.domain), s._fns, index, ienv)]
+    except RecursionError:
+        raise EvalError("formula nested too deeply") from None
 
 
 def eval_formula(f: Formula, structure: Structure, env: Env) -> bool:
@@ -282,7 +422,19 @@ def eval_formula(f: Formula, structure: Structure, env: Env) -> bool:
     ensure.
     """
     s = structure
-    return _holds(f, len(s.domain), s._fns, s._preds, s._index, _encode_env(s, env))
+    index = s._index
+    try:
+        ienv = tuple(map(index.__getitem__, env))
+    except KeyError:
+        raise _outside(env, index) from None
+    try:
+        try:
+            code = f._code
+        except AttributeError:
+            code = _compile(f)
+        return code(len(s.domain), s._fns, s._preds, index, ienv)
+    except RecursionError:
+        raise EvalError("formula nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +583,22 @@ def count_structures(sig: Signature, size: int) -> int:
     return count
 
 
+def _more_than_power_of_two(sig: Signature, size: int, rank: int, bits: int) -> bool:
+    """Whether the candidates on ``size >= 2`` elements, structures times
+    environments of length ``rank``, certainly number more than
+    ``2**bits``; decided from exponents, with no number much longer than
+    ``bits`` built."""
+    preds, fns = _table_symbols(sig)
+    log = size.bit_length() - 1  # floor(log2(size)), at least 1
+    # the count is at least 2 ** (the sum over predicates of size**arity
+    # + log * (the sum over functions of size**arity + rank)); an arity
+    # past cap alone makes that exponent more than bits
+    cap = bits.bit_length() + 1
+    exponent = sum(size ** min(arity, cap) for _, arity in preds) + log * (
+        sum(size ** min(arity, cap) for _, arity in fns) + rank)
+    return exponent > bits
+
+
 def _carrier(size: int) -> tuple[tuple[str, ...], dict[str, int]]:
     """The enumerated carrier {"0", ..., str(size-1)} and its name -> index map."""
     domain = tuple(str(i) for i in range(size))
@@ -490,26 +658,36 @@ def find_countermodel(
     the enumeration-order-least hit, or None when the search space is
     exhausted.  Refuses searches whose candidate count exceeds the ceiling,
     counting size by size and stopping at the first size that passes it.
+    Raises :class:`EvalError` for a formula or sentence nested too deeply.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if has_params(formula):
         raise ValueError("countermodel search needs a parameter-free formula")
     rank = min_rank(formula)
+    # counts up to about the ceiling squared are built exactly; past that
+    # bit length, exponents alone show that a size passes the ceiling
+    bits = 2 * ceiling.bit_length()
     total = 0
     for size in range(1, max_size + 1):
+        if size > 1 and _more_than_power_of_two(sig, size, rank, bits):
+            raise SearchLimit(total + 2**bits, ceiling)
         total += count_structures(sig, size) * size**rank
         if total > ceiling:
             raise SearchLimit(total, ceiling)
-    sentences = [f for _, f in theory.sentences]
-    for size in range(1, max_size + 1):
-        domain, index = _carrier(size)
-        for fns, preds in _encoded_tables(sig, size):
-            if all(_holds(s, size, fns, preds, index, ()) for s in sentences):
-                for env in itertools.product(range(size), repeat=rank):
-                    if not _holds(formula, size, fns, preds, index, env):
-                        structure = Structure(domain, fns, preds, _arities(sig), index)
-                        return structure, tuple(domain[v] for v in env)
+    try:
+        sentences = [_compile(f) for _, f in theory.sentences]
+        code = _compile(formula)
+        for size in range(1, max_size + 1):
+            domain, index = _carrier(size)
+            for fns, preds in _encoded_tables(sig, size):
+                if all(s(size, fns, preds, index, ()) for s in sentences):
+                    for env in itertools.product(range(size), repeat=rank):
+                        if not code(size, fns, preds, index, env):
+                            structure = Structure(domain, fns, preds, _arities(sig), index)
+                            return structure, tuple(domain[v] for v in env)
+    except RecursionError:
+        raise EvalError("formula nested too deeply") from None
     return None
 
 

@@ -236,9 +236,13 @@ class App(Term):
 
 
 class Formula(_Node):
-    """Base class for formula nodes (Atom, Implies, Forall)."""
+    """Base class for formula nodes (Atom, Implies, Forall).
 
-    __slots__ = ()
+    ``_code`` holds the node's compiled evaluator once ``semantics`` has
+    built it; it starts unset and is written through the slot descriptor.
+    """
+
+    __slots__ = ("_code",)
 
 
 class Atom(Formula):

@@ -187,6 +187,20 @@ class TestCountermodel:
         assert (code, out) == (2, "")
         assert err.startswith("error: enumeration of") and "exceeds the ceiling" in err
 
+    def test_huge_predicate_arity_is_refused_at_once(self, tmp_path):
+        for arity in (24, 40):
+            sig = tmp_path / f"wide{arity}.fol"
+            sig.write_text(f"pred P {arity}\n")
+            formula = "P(" + ",".join(["x1"] * arity) + ")"
+            start = time.perf_counter()
+            code, out, err = invoke(
+                "countermodel", "--sig", str(sig), "--max-size", "2", formula
+            )
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (2, "")
+            assert err.startswith("error: enumeration of at least ")
+            assert err.endswith(" candidates exceeds the ceiling of 1000000\n")
+
 
 class TestAudit:
     def test_pass(self):

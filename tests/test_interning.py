@@ -3,6 +3,7 @@
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 import weakref
@@ -12,19 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folkit import (
+    FALSE,
     App,
     Atom,
     Forall,
     Implies,
     Param,
+    Structure,
     Term,
     Var,
+    eval_formula,
     free_vars,
     has_params,
     min_rank,
 )
 from folkit import syntax
-from strategies import SIG3, formulas, terms
+import reference_semantics as reference
+from strategies import SIG3, SIG5, formulas, random_structure, terms
 
 PARAMS = ("m", "k")
 DATA = st.one_of(terms(SIG3, params=PARAMS), formulas(SIG3, params=PARAMS))
@@ -162,3 +167,66 @@ def test_threads_building_the_same_formulas_share_one_object_each():
         assert all(built[i] is first for built in results)
         t = first.body.lhs.args[0]
         assert first.body.rhs.args == (t, t)
+
+
+def test_an_evaluated_formula_leaves_the_table_without_a_collection():
+    # the compiled code kept on a node refers to no node, so the node
+    # still dies by reference count alone
+    structure = Structure.make(SIG5, ("0", "probe"), {"g": {("0",): "probe", ("probe",): "0"}},
+                               {"R": {("0", "probe")}})
+    gc.collect()
+    before = len(syntax._nodes)
+    gc.disable()
+    try:
+        leaf = Param("probe")
+        r = Atom("R", (App("g", (Var(1),)), leaf))
+        top = Forall(Implies(r, Implies(Forall(r), Implies(Atom("eq", (Var(1), leaf)), FALSE))))
+        assert eval_formula(top, structure, ()) is True
+        assert len(syntax._nodes) > before
+        probe = weakref.ref(top)
+        del leaf, r, top
+        assert probe() is None
+        assert (Param, "probe") not in syntax._nodes
+        assert len(syntax._nodes) == before
+    finally:
+        gc.enable()
+
+
+def test_threads_evaluating_fresh_formulas_agree_with_the_reference():
+    # every thread builds and evaluates the same fresh formulas in the same
+    # order, so threads race to compile each node and store its code
+    workers, count = 8, 60
+    rng = random.Random(7)
+    structures = [random_structure(rng, SIG5, rng.randint(1, 3)) for _ in range(6)]
+    models = [reference.named_tables(s) for s in structures]
+    envs = [tuple(rng.choice(s.domain) for _ in range(2)) for s in structures]
+    barrier = threading.Barrier(workers)
+    results: list[list] = [[] for _ in range(workers)]
+
+    def build(i: int):
+        t: Term = Var(i % 2 + 1)
+        for _ in range(i):
+            t = App("g", (t,))
+        body = Implies(Atom("R", (t, Var(1))), Atom("eq", (Var(2), App("g", (t,)))))
+        return Forall(Implies(body, Forall(Atom("R", (t, Var(i % 3 + 1))))))
+
+    def evaluate(slot: int) -> None:
+        barrier.wait(timeout=10)
+        for i in range(count):
+            f = build(i)
+            results[slot].append([eval_formula(f, s, env) for s, env in zip(structures, envs)])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=evaluate, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = [[reference.eval_formula(build(i), m, env) for m, env in zip(models, envs)]
+                for i in range(count)]
+    assert all(verdicts == expected for verdicts in results)

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,62 @@ class TestEvalFormula:
         assert eval_formula(Implies(p0, p1), s, ()) is False
 
 
+class TestCompiledEvaluator:
+    """The compiled evaluator raises where the reference walk raises: when
+    evaluation reaches the failing node, and never on a branch it skips."""
+
+    def outcomes(self, f, structure, env):
+        model = reference.named_tables(structure)
+        return (_outcome(eval_formula, f, structure, env),
+                _outcome(reference.eval_formula, f, model, env))
+
+    def test_short_environment_reached_only_under_a_binder(self):
+        s = mod2_structure()
+        for f in (Forall(Atom("P", (Var(2),))),
+                  Forall(Atom("P", (App("plus", (Var(1), Var(3))),))),
+                  Forall(Forall(Implies(Atom("P", (Var(2),)), Atom("P", (Var(4),)))))):
+            ours, theirs = self.outcomes(f, s, ())
+            assert ours == theirs and ours.startswith("EvalError: environment of length")
+            assert eval_formula(f, s, ("0", "0", "0")) == reference.eval_formula(
+                f, reference.named_tables(s), ("0", "0", "0"))
+
+    def test_errors_on_a_branch_never_taken_are_not_raised(self):
+        s = mod2_structure(("0",))
+        p0 = Atom("P", (Param("0"),))
+        for unreached in (Atom("P", (Var(5),)), Atom("P", (Param("9"),)),
+                          Atom("Q", ()), Atom("P", (App("h", (Var(1),)),)), Var(1)):
+            for f in (Implies(FALSE, unreached), Implies(unreached, p0),
+                      Forall(Implies(Atom("P", (Var(1),)), Implies(FALSE, unreached)))):
+                ours, theirs = self.outcomes(f, s, ())
+                assert ours == theirs
+        assert eval_formula(Implies(FALSE, Atom("P", (Var(5),))), s, ()) is True
+
+    def test_forall_over_a_body_of_rank_0(self):
+        p0 = Atom("P", (Param("0"),))
+        for p_elems in ((), ("0",), ("1",), ("0", "1")):
+            s = mod2_structure(p_elems)
+            for f in (Forall(p0), Forall(Forall(p0)), Forall(Implies(p0, FALSE)),
+                      Forall(Atom("P", (Param("9"),))), Forall(Param("0"))):
+                ours, theirs = self.outcomes(f, s, ("1",))
+                assert ours == theirs
+        assert eval_formula(Forall(p0), mod2_structure(("0",)), ()) is True
+        assert eval_formula(Forall(p0), mod2_structure(("1",)), ()) is False
+
+    def test_deep_nesting_raises_eval_error(self):
+        chain = Atom("P", (Var(1),))
+        term = Var(1)
+        for _ in range(3000):
+            chain = Implies(Atom("P", (Var(1),)), chain)
+            term = App("plus", (term, Var(1)))
+        s = mod2_structure()
+        with pytest.raises(EvalError, match="formula nested too deeply"):
+            eval_formula(chain, s, ("0",))
+        with pytest.raises(EvalError, match="formula nested too deeply"):
+            eval_term(term, s, ("0",))
+        with pytest.raises(EvalError, match="formula nested too deeply"):
+            find_countermodel(EMPTY_THEORY, chain, Signature({}, {"P": 1}), 1)
+
+
 class TestStructureInvariants:
     def test_carrier_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -133,6 +190,29 @@ class TestStructureInvariants:
         assert s.fn_tables["g"] == {("0",): "1", ("1",): "0"}
         assert s.pred_tables["R"] == frozenset({("0", "1")})
         assert eval_formula(Atom("R", (Param("1"), Param("1"))), s, ()) is False
+
+    def test_large_predicate_arity_encodes_only_the_members(self):
+        # the carrier has 3**12 = 531,441 rows of arity 12; only the two
+        # members may be encoded
+        sig = Signature({"c": 0}, {"P": 12})
+        rows = {("a",) * 12, ("a",) * 11 + ("c",)}
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            s = Structure.make(sig, ("a", "b", "c"), {"c": {(): "b"}}, {"P": rows})
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 100_000
+        assert s._preds["P"] == frozenset({0, 2})
+        env = ("a",)
+        assert eval_formula(Atom("P", (Var(1),) * 12), s, env) is True
+        assert eval_formula(Atom("P", (Var(1),) * 11 + (App("c"),)), s, env) is False
+        with pytest.raises(ValueError, match="bad entry"):
+            Structure.make(sig, ("a", "b"), {"c": {(): "b"}}, {"P": {("a",) * 11}})
+        with pytest.raises(ValueError, match="bad entry"):
+            Structure.make(sig, ("a", "b"), {"c": {(): "b"}}, {"P": {("a",) * 11 + ("z",)}})
 
     def test_hashable_and_equal_by_content(self):
         first = mod2_structure(("0",))
@@ -291,6 +371,18 @@ class TestCountermodel:
         assert info.value.count == sum(count_structures(monoid, k) for k in (1, 2, 3, 4))
         assert info.value.ceiling == DEFAULT_CEILING
         assert "ceiling" in str(info.value)
+
+    def test_ceiling_check_of_a_huge_arity_builds_no_huge_number(self):
+        for arity in (24, 40):
+            sig = Signature({}, {"P": arity})
+            start = time.perf_counter()
+            with pytest.raises(SearchLimit) as info:
+                find_countermodel(EMPTY_THEORY, Atom("P", (Var(1),) * arity), sig, 2)
+            assert time.perf_counter() - start < 1.0
+            # size 1 has 2 candidates; size 2 has 2 ** (2 ** arity), of which
+            # the ceiling squared is reported as a lower bound
+            assert info.value.count == 2 + 2 ** (2 * DEFAULT_CEILING.bit_length())
+            assert "exceeds the ceiling" in str(info.value)
 
     def test_parameters_rejected(self):
         with pytest.raises(ValueError):
