@@ -19,8 +19,10 @@ from .subst import (
     min_rank,
     shift_down,
     shift_up,
+    single,
     single_subst,
     subst_formula,
+    swap_front,
 )
 from .syntax import (
     EQ_NAME,
@@ -30,7 +32,6 @@ from .syntax import (
     Forall,
     Formula,
     Implies,
-    Param,
     ParseError,
     Signature,
     Term,
@@ -120,65 +121,62 @@ def axiom_from_tag(tag: AxiomTag) -> Formula:
 def match_a5(f: Formula) -> Term | None:
     """Find a term t with body[t, x1, x2, ...] equal to the consequent.
 
-    Works by aligning the quantified body against the consequent: at each
-    free occurrence of the instantiated slot the aligned subterm of the
-    consequent is recorded, every other slot must align under the downward
-    shift, and under binders the slot index moves up by one.  When the
-    body does not use the slot at all, any term works and Var(1) is the
-    canonical witness.  The candidate is verified by substitution before
-    it is returned.
+    Walks the quantified body against the consequent: the first free
+    occurrence of the instantiated slot fixes the witness, and every other
+    occurrence, slot and symbol must then agree.  When the body does not
+    use the slot at all, any term works and Var(1) is the canonical
+    witness.
     """
     if not (isinstance(f, Implies) and isinstance(f.lhs, Forall)):
         return None
-    body, target = f.lhs.body, f.rhs
-    hits: list[tuple[Term, int]] = []
-    if not _align_formula(body, target, 0, hits):
+    found: list[Term] = []
+    if not _image(f.lhs.body, f.rhs, (None,), -1, 0, found):
         return None
-    if hits:
-        witness, depth = hits[0]
-        for _ in range(depth):
-            witness = shift_down(witness)
-    else:
-        witness = Var(1)
-    if subst_formula(body, instantiate(witness)) == target:
-        return witness
-    return None
+    return found[0] if found else Var(1)
 
 
-def _align_term(s: Term, u: Term, depth: int, hits: list[tuple[Term, int]]) -> bool:
+def _image(s: Term | Formula, u: Term | Formula, prefix: tuple[Term | None, ...],
+           tail: int, depth: int, found: list[Term] | None) -> bool:
+    """Whether u is s[lift^depth(sigma)] for sigma = [prefix; +tail],
+    decided by walking s and u together and building no node.
+
+    A None prefix entry stands for a term still unknown (A5's witness):
+    its first occurrence, under d binders, fixes it as u shifted down d
+    times, recorded in ``found``; every occurrence must then be it
+    shifted up by its depth.
+    """
+    if s.min_rank <= depth:
+        # the lifted sequence leaves slots 1..depth alone
+        return u is s
     if isinstance(s, Var):
-        slot = depth + 1
-        if s.index == slot:
-            hits.append((u, depth))
-            return True
-        if s.index < slot:
-            return u == s
-        return u == Var(s.index - 1)
-    if isinstance(s, Param):
-        return u == s
-    return (
-        isinstance(u, App)
-        and u.symbol == s.symbol
-        and len(u.args) == len(s.args)
-        and all(_align_term(a, b, depth, hits) for a, b in zip(s.args, u.args))
-    )
-
-
-def _align_formula(s: Formula, u: Formula, depth: int, hits: list[tuple[Term, int]]) -> bool:
-    if isinstance(s, Atom):
-        return (
-            isinstance(u, Atom)
-            and u.symbol == s.symbol
-            and len(u.args) == len(s.args)
-            and all(_align_term(a, b, depth, hits) for a, b in zip(s.args, u.args))
-        )
+        m = s.index - depth
+        if m > len(prefix):
+            return isinstance(u, Var) and u.index == s.index + tail
+        t = prefix[m - 1]
+        if t is None:
+            if not found:
+                w = u
+                for _ in range(depth):
+                    w = shift_down(w)
+                found.append(w)
+            t = found[0]
+        # u must be t shifted up past the depth binders
+        return _image(t, u, (), depth, 0, None)
     if isinstance(s, Implies):
         return (
             isinstance(u, Implies)
-            and _align_formula(s.lhs, u.lhs, depth, hits)
-            and _align_formula(s.rhs, u.rhs, depth, hits)
+            and _image(s.lhs, u.lhs, prefix, tail, depth, found)
+            and _image(s.rhs, u.rhs, prefix, tail, depth, found)
         )
-    return isinstance(u, Forall) and _align_formula(s.body, u.body, depth + 1, hits)
+    if isinstance(s, Forall):
+        return isinstance(u, Forall) and _image(s.body, u.body, prefix, tail, depth + 1, found)
+    # App or Atom: parameters have rank 0
+    if type(u) is not type(s) or u.symbol != s.symbol or len(u.args) != len(s.args):
+        return False
+    for a, b in zip(s.args, u.args):
+        if not _image(a, b, prefix, tail, depth, found):
+            return False
+    return True
 
 
 def _match_a1(f: Formula) -> AxiomTag | None:
@@ -248,7 +246,7 @@ def _match_a6(f: Formula) -> AxiomTag | None:
     if (
         isinstance(f, Implies)
         and isinstance(f.rhs, Forall)
-        and f.rhs.body == shift_up(f.lhs)
+        and _image(f.lhs, f.rhs.body, (), 1, 0, None)
     ):
         return AxiomTag("A6", (f.lhs,))
     return None
@@ -280,7 +278,7 @@ def _match_a8(f: Formula) -> AxiomTag | None:
         return None
     x, y = f.lhs.args[0].index, f.lhs.args[1].index
     a = f.rhs.lhs
-    if f.rhs.rhs == single_subst(a, Var(y), x):
+    if _image(a, f.rhs.rhs, single(Var(y), x).prefix, 0, 0, None):
         return AxiomTag("A8", (a,), var_pair=(x, y))
     return None
 
@@ -410,10 +408,10 @@ def check_proof(proof: Proof, theory: Theory, sig: Signature) -> Verdict:
             if not theory.has_induction:
                 return Verdict(False, k, "theory has no induction schema")
             try:
-                expected = induction_sentence(just.formula, just.var)
+                n = _induction_rank(just.formula, just.var)
             except ValueError as exc:
                 return Verdict(False, k, f"bad induction instance: {exc}")
-            if expected != line.formula:
+            if not _is_induction_instance(line.formula, just.formula, just.var, n):
                 return Verdict(False, k, "wrong induction instance")
         elif isinstance(just, ByMP):
             if not (1 <= just.i < k and 1 <= just.j < k):
@@ -465,10 +463,8 @@ def arith_theory() -> Theory:
     return Theory("arith", sentences, has_induction=True)
 
 
-def induction_sentence(a: Formula, i: int) -> Formula:
-    """The closed induction sentence for formula a in variable i: the base
-    case at zero and the successor step together give the universal claim,
-    closed under quantifiers for every free slot of a."""
+def _induction_rank(a: Formula, i: int) -> int:
+    """The rank of a, once a and i are checked to make an induction instance."""
     if has_params(a):
         raise ValueError("induction formula must be parameter-free")
     n = min_rank(a)
@@ -476,12 +472,48 @@ def induction_sentence(a: Formula, i: int) -> Formula:
         raise ValueError("induction formula must have rank > 0")
     if not 1 <= i <= n:
         raise ValueError(f"induction variable {i} out of range 1..{n}")
+    return n
+
+
+def induction_sentence(a: Formula, i: int) -> Formula:
+    """The closed induction sentence for formula a in variable i: the base
+    case at zero and the successor step together give the universal claim,
+    closed under quantifiers for every free slot of a."""
+    n = _induction_rank(a, i)
     base = single_subst(a, App("zero"), i)
     step = forall_var(Implies(a, single_subst(a, App("succ", (Var(i),)), i)), i)
     body = Implies(base, Implies(step, forall_var(a, i)))
     for j in range(1, n + 1):
         body = forall_var(body, j)
     return body
+
+
+def _is_induction_instance(u: Formula, a: Formula, i: int, n: int) -> bool:
+    """Whether u is induction_sentence(a, i), for a of rank n, decided
+    without building it.  Closing slots 1..n in turn composes to
+    [x1, ..., xn; +n], which fixes every free slot of the rank-n body, so
+    u is n binders over (a[zero/xi] -> (forall (a[s] -> a[s'])) -> forall a[s])
+    with s = swap_front(i) and s' = s with succ(x1) in slot i."""
+    for _ in range(n):
+        if not isinstance(u, Forall):
+            return False
+        u = u.body
+    if not (isinstance(u, Implies) and isinstance(u.rhs, Implies)):
+        return False
+    step, claim = u.rhs.lhs, u.rhs.rhs
+    if not (
+        isinstance(step, Forall)
+        and isinstance(step.body, Implies)
+        and isinstance(claim, Forall)
+        and claim.body is step.body.lhs
+    ):
+        return False
+    front = swap_front(i).prefix
+    return (
+        _image(a, u.lhs, single(App("zero"), i).prefix, 0, 0, None)
+        and _image(a, claim.body, front, 1, 0, None)
+        and _image(a, step.body.rhs, front[:-1] + (App("succ", (Var(1),)),), 1, 0, None)
+    )
 
 
 # ---------------------------------------------------------------------------

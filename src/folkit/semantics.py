@@ -131,15 +131,10 @@ class Structure:
     @property
     def pred_tables(self) -> dict[str, frozenset[tuple[str, ...]]]:
         """Predicate relations by element names, freshly decoded."""
-        d = self.domain
-        rows = {}
-        tables = {}
-        for name, members in self._preds.items():
-            n = self._arity[name]
-            if n not in rows:
-                rows[n] = list(itertools.product(d, repeat=n))
-            tables[name] = frozenset(map(rows[n].__getitem__, members))
-        return tables
+        return {
+            name: frozenset(_row(p, self._arity[name], self.domain) for p in members)
+            for name, members in self._preds.items()
+        }
 
     @classmethod
     def make(
@@ -218,6 +213,16 @@ def _position(row: tuple[str, ...], n: int, k: int, index: dict[str, int]) -> in
             return None
         pos = pos * k + i
     return pos
+
+
+def _row(pos: int, n: int, domain: tuple[str, ...]) -> tuple[str, ...]:
+    """The row of n carrier elements at a row-major position: its n
+    base-k digits, most significant first."""
+    row = []
+    for _ in range(n):
+        pos, i = divmod(pos, len(domain))
+        row.append(domain[i])
+    return tuple(reversed(row))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +473,27 @@ class AuditReport:
         return "\n".join(lines)
 
 
+def _equality_closures(samples: list[Formula], env_len: int):
+    """The closed equality sentences an audit checks, in order, as
+    (is_replacement, n, g) for ``forall_n(g, n)``: reflexivity, then
+    replacement in each sample, for every n up to the largest sample
+    rank, keeping those whose free variables the environment covers."""
+    max_n = max((min_rank(s) for s in samples), default=0)
+    for n in range(max_n + 1):
+        # forall_n(x_j = x_j, n) has rank max(j - n, 0)
+        for j in range(1, min(max_n + 1, n + env_len) + 1):
+            yield False, n, Atom(EQ_NAME, (Var(j), Var(j)))
+    replacements = [
+        Implies(Atom(EQ_NAME, (Var(x), Var(y))), Implies(s, single_subst(s, Var(y), x)))
+        for s in samples
+        for x, y in ((1, 1), (1, 2), (2, 1))
+    ]
+    for n in range(max_n + 1):
+        for g in replacements:
+            if min_rank(g) - n <= env_len:
+                yield True, n, g
+
+
 def induced_valuation_check(
     structure: Structure,
     env: Env,
@@ -484,9 +510,19 @@ def induced_valuation_check(
     supplied terms and all carrier parameters holds; in carriers with
     equality, the closed reflexivity and replacement sentences must hold
     for quantifier depths up to the largest sample rank.  ``eval_fn``
-    exists so tests can audit a deliberately broken evaluator.
+    exists so tests can audit a deliberately broken evaluator.  Raises
+    :class:`SearchLimit` before evaluating anything when those closed
+    sentences would take more than ``DEFAULT_CEILING`` steps.
     """
     env = tuple(env)
+    if EQ_NAME in structure._preds:
+        # a closure under n quantifiers costs n binders and k**n
+        # environments; count them all before evaluating anything
+        k, work = len(structure.domain), 0
+        for _, n, _ in _equality_closures(samples, len(env)):
+            work += n + k**n
+            if work > DEFAULT_CEILING:
+                raise SearchLimit(work, DEFAULT_CEILING)
     falsum = ConditionReport("falsum excluded")
     falsum.checked = 1
     if eval_fn(FALSE, structure, env):
@@ -532,30 +568,12 @@ def induced_valuation_check(
     reflexivity = ConditionReport("equality reflexivity")
     replacement = ConditionReport("equality replacement")
     if EQ_NAME in structure._preds:
-        max_n = max((min_rank(s) for s in samples), default=0)
-        for n in range(max_n + 1):
-            for j in range(1, max_n + 2):
-                f = forall_n(Atom(EQ_NAME, (Var(j), Var(j))), n)
-                if min_rank(f) > len(env):
-                    continue
-                reflexivity.checked += 1
-                if not eval_fn(f, structure, env):
-                    reflexivity.failures.append(print_formula(f))
-        for n in range(max_n + 1):
-            for sample in samples:
-                for x, y in ((1, 1), (1, 2), (2, 1)):
-                    f = forall_n(
-                        Implies(
-                            Atom(EQ_NAME, (Var(x), Var(y))),
-                            Implies(sample, single_subst(sample, Var(y), x)),
-                        ),
-                        n,
-                    )
-                    if min_rank(f) > len(env):
-                        continue
-                    replacement.checked += 1
-                    if not eval_fn(f, structure, env):
-                        replacement.failures.append(print_formula(f))
+        for replacing, n, g in _equality_closures(samples, len(env)):
+            f = forall_n(g, n)
+            report = replacement if replacing else reflexivity
+            report.checked += 1
+            if not eval_fn(f, structure, env):
+                report.failures.append(print_formula(f))
 
     return AuditReport((falsum, material, instantiation, reflexivity, replacement))
 

@@ -211,6 +211,26 @@ class TestAudit:
         assert code == 0
         assert out.endswith("AUDIT PASS\n")
         assert "condition 3 (universal instantiation): PASS" in out
+        assert out == (
+            "condition 1 (falsum excluded): PASS checked=1\n"
+            "condition 2 (implication is material): PASS checked=1\n"
+            "condition 3 (universal instantiation): PASS checked=3\n"
+            "condition 4 (equality reflexivity): PASS checked=8\n"
+            "condition 5 (equality replacement): PASS checked=36\n"
+            "AUDIT PASS\n"
+        )
+
+    def test_exponential_closures_hit_the_ceiling(self, tmp_path):
+        # reflexivity and replacement closures up to rank 25 over a
+        # two-element carrier would take about 2**26 environments
+        samples = tmp_path / "samples.fol"
+        samples.write_text("R(x1,x25)\n")
+        start = time.perf_counter()
+        code, out, err = invoke("audit", "--sig", PAIR_SIG, "--model", PAIR_MODEL, str(samples))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: enumeration of at least ")
+        assert err.endswith(" candidates exceeds the ceiling of 1000000\n")
 
 
 class TestContract:

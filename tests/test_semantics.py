@@ -214,6 +214,22 @@ class TestStructureInvariants:
         with pytest.raises(ValueError, match="bad entry"):
             Structure.make(sig, ("a", "b"), {"c": {(): "b"}}, {"P": {("a",) * 11 + ("z",)}})
 
+    def test_large_predicate_arity_decodes_only_the_members(self):
+        # print_model reads pred_tables, which decodes each member's
+        # position; it must never list the carrier's 3**12 rows
+        sig = Signature({}, {"P": 12})
+        s = Structure.make(sig, ("0", "1", "2"), {}, {"P": {("2", "0", "1") * 4}})
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            text = print_model(s)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 1_000_000
+        assert text == "domain 0 1 2\npred P: " + " ".join(("2", "0", "1") * 4) + "\n"
+
     def test_hashable_and_equal_by_content(self):
         first = mod2_structure(("0",))
         second = mod2_structure(("0",))
@@ -298,6 +314,24 @@ class TestAudit:
         )
         assert report.ok
         assert report.conditions[3].checked > 0
+
+    def test_closure_work_past_the_ceiling_evaluates_nothing(self):
+        calls = []
+
+        def recording(f, structure, env):
+            calls.append(f)
+            return eval_formula(f, structure, env)
+
+        structure = random_structure(random.Random(1), SIG5, 2)
+        sample = Atom("R", (Var(1), Var(25)))
+        with pytest.raises(SearchLimit):
+            induced_valuation_check(structure, ("0", "1"), [sample], [], eval_fn=recording)
+        assert calls == []
+        # a rank the ceiling admits is audited as before
+        report = induced_valuation_check(
+            structure, ("0", "1"), [Atom("R", (Var(1), Var(3)))], [], eval_fn=recording
+        )
+        assert report.ok and calls
 
     def test_broken_quantifier_caught_by_instantiation(self):
         def broken(f, structure, env):
