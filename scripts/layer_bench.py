@@ -6,7 +6,7 @@ one batch of every layer, in an order rotated from round to round, so a
 slow stretch of the host touches every layer alike.  Prints, per layer,
 the median ops/s over the rounds and the quartiles.
 
-    PYTHONPATH=src python3 scripts/layer_bench.py [--seed N] [--rounds N] [--batch S]
+    PYTHONPATH=src python3 scripts/layer_bench.py [--seed N]
 
 The layers are ``parse_formula``, ``print_formula``, ``subst_formula``,
 ``min_rank``, ``is_axiom`` on axiom instances and on near-miss
@@ -19,13 +19,13 @@ from __future__ import annotations
 import argparse
 import random
 import statistics
+import sys
 import time
+from pathlib import Path
 
 from folkit import (
-    EQ_NAME,
     FALSE,
     App,
-    Atom,
     ByAxiom,
     ByHyp,
     ByInd,
@@ -34,9 +34,6 @@ from folkit import (
     Implies,
     Proof,
     ProofLine,
-    Signature,
-    Substitution,
-    Var,
     arith_signature,
     arith_theory,
     check_proof,
@@ -49,63 +46,22 @@ from folkit import (
     parse_formula,
     print_formula,
     shift_up,
-    single_subst,
     subst_formula,
 )
 
-SIG = Signature({"c": 0, "f": 1, "h": 2}, {"P": 1, "Q": 2, "S": 0}, True)
-EVAL_SIG = Signature({"g": 1}, {"R": 2}, True)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from strategies import (  # noqa: E402  (the seeded builders the tests use)
+    SCHEMAS,
+    SIG3EQ as SIG,
+    SIG5 as EVAL_SIG,
+    random_axiom_instance,
+    random_formula,
+    random_substitution,
+)
+
 ARITH_SIG = arith_signature()
-
-
-def term(rng, sig, depth, max_var):
-    fns = sorted(sig.functions.items())
-    if depth <= 0 or rng.random() < 0.3:
-        constants = [name for name, n in fns if n == 0]
-        if constants and rng.random() < 0.3:
-            return App(rng.choice(constants))
-        return Var(rng.randint(1, max_var))
-    name, n = rng.choice([fn for fn in fns if fn[1] > 0])
-    return App(name, tuple(term(rng, sig, depth - 1, max_var) for _ in range(n)))
-
-
-def formula(rng, sig, depth, max_var):
-    if depth <= 0 or rng.random() < 0.25:
-        name, n = rng.choice(sorted(sig.predicates.items()))
-        return Atom(name, tuple(term(rng, sig, 2, max_var) for _ in range(n)))
-    if rng.random() < 0.65:
-        return Implies(formula(rng, sig, depth - 1, max_var), formula(rng, sig, depth - 1, max_var))
-    return Forall(formula(rng, sig, depth - 1, max_var + 1))
-
-
-def axiom_instance(rng, schema):
-    def meta():
-        return formula(rng, SIG, 3, 3)
-
-    if schema == "A1":
-        a, b = meta(), meta()
-        return Implies(a, Implies(b, a))
-    if schema == "A2":
-        a, b, c = meta(), meta(), meta()
-        return Implies(Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c)))
-    if schema == "A3":
-        a = meta()
-        return Implies(Implies(Implies(a, FALSE), FALSE), a)
-    if schema == "A4":
-        a, b = meta(), meta()
-        return Implies(Forall(Implies(a, b)), Implies(Forall(a), Forall(b)))
-    if schema == "A5":
-        a = meta()
-        return Implies(Forall(a), subst_formula(a, instantiate(term(rng, SIG, 4, 3))))
-    if schema == "A6":
-        a = meta()
-        return Implies(a, Forall(shift_up(a)))
-    if schema == "A7":
-        x = rng.randint(1, 3)
-        return Atom(EQ_NAME, (Var(x), Var(x)))
-    a = meta()
-    x, y = rng.randint(1, 3), rng.randint(1, 3)
-    return Implies(Atom(EQ_NAME, (Var(x), Var(y))), Implies(a, single_subst(a, Var(y), x)))
+ROUNDS = 15
+BATCH_S = 0.1  # seconds spent on each layer in each round
 
 
 def near_miss(rng, f):
@@ -137,9 +93,9 @@ def arith_proof(rng):
             lines.append(ProofLine(inst, ByMP(len(lines) - 1, len(lines))))
             f = inst
     for _ in range(2):
-        a = formula(rng, ARITH_SIG, 2, 2)
+        a = random_formula(rng, ARITH_SIG, 2, 2)
         while min_rank(a) == 0:
-            a = formula(rng, ARITH_SIG, 2, 2)
+            a = random_formula(rng, ARITH_SIG, 2, 2)
         i = rng.randint(1, min_rank(a))
         lines.append(ProofLine(induction_sentence(a, i), ByInd(a, i)))
     return Proof(tuple(lines)), theory
@@ -154,20 +110,18 @@ def eval_structure():
 
 def build(seed: int) -> dict:
     rng = random.Random(seed)
-    formulas = [formula(rng, SIG, 5, 3) for _ in range(300)]
+    formulas = [random_formula(rng, SIG, 5, 3) for _ in range(300)]
     texts = [print_formula(f) for f in formulas]
-    sigmas = [Substitution(tuple(term(rng, SIG, 2, 3) for _ in range(rng.randint(0, 3))),
-                           rng.randint(0, 2)) for _ in formulas]
-    schemas = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8")
-    instances = [axiom_instance(rng, schemas[k % 8]) for k in range(400)]
+    sigmas = [random_substitution(rng, SIG) for _ in formulas]
+    instances = [random_axiom_instance(rng, SIG, SCHEMAS[k % 8], meta_depth=3)
+                 for k in range(400)]
     misses = [near_miss(rng, f) for f in instances]
     misses = [f for f in misses if is_axiom(f, SIG) is None]
     proofs = [arith_proof(rng) for _ in range(20)]
     for proof, theory in proofs:
         assert check_proof(proof, theory, ARITH_SIG).ok
     structure = eval_structure()
-    evals = [formula(rng, EVAL_SIG, 4, 2) for _ in range(300)]
-    evals = [f for f in evals if min_rank(f) <= 3]
+    evals = [random_formula(rng, EVAL_SIG, 4, 2) for _ in range(300)]
     env = ("0", "1", "2")
 
     def each(fn, items):
@@ -203,25 +157,22 @@ def build(seed: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--batch", type=float, default=0.1,
-                        help="seconds spent on each layer in each round")
     args = parser.parse_args()
     layers = build(args.seed)
     names = list(layers)
     for fn in layers.values():  # compile and warm every path once
         fn()
     rates: dict[str, list[float]] = {name: [] for name in names}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for name in names[r % len(names):] + names[:r % len(names)]:
             fn, ops, start = layers[name], 0, time.perf_counter()
             while True:
                 ops += fn()
                 elapsed = time.perf_counter() - start
-                if elapsed >= args.batch:
+                if elapsed >= BATCH_S:
                     break
             rates[name].append(ops / elapsed)
-    print(f"seed={args.seed} rounds={args.rounds} batch={args.batch}s")
+    print(f"seed={args.seed} rounds={ROUNDS} batch={BATCH_S}s")
     for name in names:
         q1, med, q3 = statistics.quantiles(rates[name], n=4, method="inclusive")
         print(f"{name:26s} {med:12,.0f} ops/s   (quartiles {q1:,.0f} .. {q3:,.0f})")

@@ -516,11 +516,12 @@ def induced_valuation_check(
     """
     env = tuple(env)
     if EQ_NAME in structure._preds:
-        # a closure under n quantifiers costs n binders and k**n
-        # environments; count them all before evaluating anything
+        # forall_n(g, n) costs n binders and, as a quantifier over a
+        # rank-0 body is evaluated once, k**min(n, rank of g) environments;
+        # count them all before evaluating anything
         k, work = len(structure.domain), 0
-        for _, n, _ in _equality_closures(samples, len(env)):
-            work += n + k**n
+        for _, n, g in _equality_closures(samples, len(env)):
+            work += n + k ** min(n, min_rank(g))
             if work > DEFAULT_CEILING:
                 raise SearchLimit(work, DEFAULT_CEILING)
     falsum = ConditionReport("falsum excluded")

@@ -232,6 +232,22 @@ class TestAudit:
         assert err.startswith("error: enumeration of at least ")
         assert err.endswith(" candidates exceeds the ceiling of 1000000\n")
 
+    def test_closures_over_rank_zero_bodies_count_once(self, tmp_path):
+        # counted at 2**n per closure this would be about 1.2M environments;
+        # at 2**min(n, rank) it is about 0.4M, under the ceiling
+        samples = tmp_path / "samples.fol"
+        samples.write_text("R(x1,x15)\n")
+        code, out, err = invoke("audit", "--sig", PAIR_SIG, "--model", PAIR_MODEL, str(samples))
+        assert (code, err) == (0, "")
+        assert out == (
+            "condition 1 (falsum excluded): PASS checked=1\n"
+            "condition 2 (implication is material): PASS checked=0\n"
+            "condition 3 (universal instantiation): PASS checked=0\n"
+            "condition 4 (equality reflexivity): PASS checked=151\n"
+            "condition 5 (equality replacement): PASS checked=9\n"
+            "AUDIT PASS\n"
+        )
+
 
 class TestContract:
     def test_usage_error_exits_2(self):
