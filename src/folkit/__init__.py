@@ -11,6 +11,7 @@ from .syntax import (
     EQ_NAME,
     FALSE,
     FALSE_NAME,
+    MAX_DEPTH,
     App,
     Atom,
     Forall,

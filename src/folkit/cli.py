@@ -3,7 +3,7 @@
 Exit codes are a stable contract: 0 for success or a positive verdict,
 1 for a negative verdict (proof rejected, not an axiom, formula false,
 countermodel found, audit failed), 2 for usage or input errors,
-including input nested too deeply to process.
+including input nested past ``syntax.MAX_DEPTH``.
 """
 
 from __future__ import annotations
@@ -138,12 +138,9 @@ def run(argv: list[str], stdin: str | None = None,
             sig = parse_signature(handle.read())
         return _dispatch(args, sig, stdin, out)
     except (_UsageError, ValueError, SearchLimit, OSError) as exc:
-        # ParseError and EvalError are ValueErrors
+        # ParseError and EvalError are ValueErrors, as is a node built
+        # deeper than MAX_DEPTH
         print(f"error: {exc}", file=err)
-        return 2
-    except RecursionError:
-        # parsing, printing and evaluation recurse along the nesting depth
-        print("error: input nested too deeply", file=err)
         return 2
 
 

@@ -19,10 +19,8 @@ from .subst import (
     min_rank,
     shift_down,
     shift_up,
-    single,
     single_subst,
     subst_formula,
-    swap_front,
 )
 from .syntax import (
     EQ_NAME,
@@ -130,51 +128,50 @@ def match_a5(f: Formula) -> Term | None:
     if not (isinstance(f, Implies) and isinstance(f.lhs, Forall)):
         return None
     found: list[Term] = []
-    if not _image(f.lhs.body, f.rhs, (None,), -1, 0, found):
+    if not _image(f.lhs.body, f.rhs, 1, None, -1, 0, found):
         return None
     return found[0] if found else Var(1)
 
 
-def _image(s: Term | Formula, u: Term | Formula, prefix: tuple[Term | None, ...],
+def _image(s: Term | Formula, u: Term | Formula, slot: int, term: Term | None,
            tail: int, depth: int, found: list[Term] | None) -> bool:
-    """Whether u is s[lift^depth(sigma)] for sigma = [prefix; +tail],
-    decided by walking s and u together and building no node.
+    """Whether u is s[lift^depth(sigma)] for the sequence sigma that maps
+    ``slot`` to ``term`` and every other slot j to x(j + tail), decided by
+    walking s and u together and building no node.  Slot 0 maps no slot.
 
-    A None prefix entry stands for a term still unknown (A5's witness):
-    its first occurrence, under d binders, fixes it as u shifted down d
-    times, recorded in ``found``; every occurrence must then be it
-    shifted up by its depth.
+    A None term stands for one still unknown (A5's witness): its first
+    occurrence, under d binders, fixes it as u shifted down d times,
+    recorded in ``found``; every occurrence must then be it shifted up by
+    its depth.
     """
     if s.min_rank <= depth:
         # the lifted sequence leaves slots 1..depth alone
         return u is s
     if isinstance(s, Var):
-        m = s.index - depth
-        if m > len(prefix):
+        if s.index - depth != slot:
             return isinstance(u, Var) and u.index == s.index + tail
-        t = prefix[m - 1]
-        if t is None:
+        if term is None:
             if not found:
                 w = u
                 for _ in range(depth):
                     w = shift_down(w)
                 found.append(w)
-            t = found[0]
-        # u must be t shifted up past the depth binders
-        return _image(t, u, (), depth, 0, None)
+            term = found[0]
+        # u must be term shifted up past the depth binders
+        return _image(term, u, 0, None, depth, 0, None)
     if isinstance(s, Implies):
         return (
             isinstance(u, Implies)
-            and _image(s.lhs, u.lhs, prefix, tail, depth, found)
-            and _image(s.rhs, u.rhs, prefix, tail, depth, found)
+            and _image(s.lhs, u.lhs, slot, term, tail, depth, found)
+            and _image(s.rhs, u.rhs, slot, term, tail, depth, found)
         )
     if isinstance(s, Forall):
-        return isinstance(u, Forall) and _image(s.body, u.body, prefix, tail, depth + 1, found)
+        return isinstance(u, Forall) and _image(s.body, u.body, slot, term, tail, depth + 1, found)
     # App or Atom: parameters have rank 0
     if type(u) is not type(s) or u.symbol != s.symbol or len(u.args) != len(s.args):
         return False
     for a, b in zip(s.args, u.args):
-        if not _image(a, b, prefix, tail, depth, found):
+        if not _image(a, b, slot, term, tail, depth, found):
             return False
     return True
 
@@ -246,7 +243,7 @@ def _match_a6(f: Formula) -> AxiomTag | None:
     if (
         isinstance(f, Implies)
         and isinstance(f.rhs, Forall)
-        and _image(f.lhs, f.rhs.body, (), 1, 0, None)
+        and _image(f.lhs, f.rhs.body, 0, None, 1, 0, None)
     ):
         return AxiomTag("A6", (f.lhs,))
     return None
@@ -278,7 +275,7 @@ def _match_a8(f: Formula) -> AxiomTag | None:
         return None
     x, y = f.lhs.args[0].index, f.lhs.args[1].index
     a = f.rhs.lhs
-    if _image(a, f.rhs.rhs, single(Var(y), x).prefix, 0, 0, None):
+    if _image(a, f.rhs.rhs, x, Var(y), 0, 0, None):
         return AxiomTag("A8", (a,), var_pair=(x, y))
     return None
 
@@ -508,11 +505,10 @@ def _is_induction_instance(u: Formula, a: Formula, i: int, n: int) -> bool:
         and claim.body is step.body.lhs
     ):
         return False
-    front = swap_front(i).prefix
     return (
-        _image(a, u.lhs, single(App("zero"), i).prefix, 0, 0, None)
-        and _image(a, claim.body, front, 1, 0, None)
-        and _image(a, step.body.rhs, front[:-1] + (App("succ", (Var(1),)),), 1, 0, None)
+        _image(a, u.lhs, i, App("zero"), 0, 0, None)
+        and _image(a, claim.body, i, Var(1), 1, 0, None)
+        and _image(a, step.body.rhs, i, App("succ", (Var(1),)), 1, 0, None)
     )
 
 

@@ -73,8 +73,7 @@ Env = tuple[str, ...]
 
 class EvalError(ValueError):
     """Raised when evaluation preconditions fail (short environment,
-    unknown symbol, parameter or environment element outside the carrier,
-    formula nested too deeply)."""
+    unknown symbol, parameter or environment element outside the carrier)."""
 
 
 class SearchLimit(RuntimeError):
@@ -404,8 +403,7 @@ def eval_term(t: Term, structure: Structure, env: Env) -> str:
     """The carrier element that ``t`` denotes when x(i+1) is ``env[i]``.
 
     Raises :class:`EvalError` for a short environment, an environment
-    element or parameter outside the carrier, an unknown symbol, or a
-    term nested too deeply to evaluate.
+    element or parameter outside the carrier, or an unknown symbol.
     """
     s = structure
     index = s._index
@@ -413,10 +411,7 @@ def eval_term(t: Term, structure: Structure, env: Env) -> str:
         ienv = tuple(map(index.__getitem__, env))
     except KeyError:
         raise _outside(env, index) from None
-    try:
-        return s.domain[_term(t)(len(s.domain), s._fns, index, ienv)]
-    except RecursionError:
-        raise EvalError("formula nested too deeply") from None
+    return s.domain[_term(t)(len(s.domain), s._fns, index, ienv)]
 
 
 def eval_formula(f: Formula, structure: Structure, env: Env) -> bool:
@@ -433,13 +428,10 @@ def eval_formula(f: Formula, structure: Structure, env: Env) -> bool:
     except KeyError:
         raise _outside(env, index) from None
     try:
-        try:
-            code = f._code
-        except AttributeError:
-            code = _compile(f)
-        return code(len(s.domain), s._fns, s._preds, index, ienv)
-    except RecursionError:
-        raise EvalError("formula nested too deeply") from None
+        code = f._code
+    except AttributeError:
+        code = _compile(f)
+    return code(len(s.domain), s._fns, s._preds, index, ienv)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +669,6 @@ def find_countermodel(
     the enumeration-order-least hit, or None when the search space is
     exhausted.  Refuses searches whose candidate count exceeds the ceiling,
     counting size by size and stopping at the first size that passes it.
-    Raises :class:`EvalError` for a formula or sentence nested too deeply.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -694,19 +685,16 @@ def find_countermodel(
         total += count_structures(sig, size) * size**rank
         if total > ceiling:
             raise SearchLimit(total, ceiling)
-    try:
-        sentences = [_compile(f) for _, f in theory.sentences]
-        code = _compile(formula)
-        for size in range(1, max_size + 1):
-            domain, index = _carrier(size)
-            for fns, preds in _encoded_tables(sig, size):
-                if all(s(size, fns, preds, index, ()) for s in sentences):
-                    for env in itertools.product(range(size), repeat=rank):
-                        if not code(size, fns, preds, index, env):
-                            structure = Structure(domain, fns, preds, _arities(sig), index)
-                            return structure, tuple(domain[v] for v in env)
-    except RecursionError:
-        raise EvalError("formula nested too deeply") from None
+    sentences = [_compile(f) for _, f in theory.sentences]
+    code = _compile(formula)
+    for size in range(1, max_size + 1):
+        domain, index = _carrier(size)
+        for fns, preds in _encoded_tables(sig, size):
+            if all(s(size, fns, preds, index, ()) for s in sentences):
+                for env in itertools.product(range(size), repeat=rank):
+                    if not code(size, fns, preds, index, env):
+                        structure = Structure(domain, fns, preds, _arities(sig), index)
+                        return structure, tuple(domain[v] for v in env)
     return None
 
 

@@ -27,7 +27,6 @@ from .syntax import (
     Term,
     Var,
     _Parser,
-    depth_guarded,
     print_term,
 )
 
@@ -263,7 +262,6 @@ def print_substitution(sigma: Substitution) -> str:
     return f"[{terms}; {sigma.tail_offset:+d}]"
 
 
-@depth_guarded
 def parse_substitution(text: str, sig: Signature) -> Substitution:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
@@ -278,9 +276,9 @@ def parse_substitution(text: str, sig: Signature) -> Substitution:
     parser = _Parser(prefix_text, sig)
     terms: list[Term] = []
     if parser.peek() is not None:
-        terms.append(parser.term())
+        terms.append(parser.term(1))
         while parser.peek() == ",":
             parser.next()
-            terms.append(parser.term())
+            terms.append(parser.term(1))
         parser.done()
     return Substitution(tuple(terms), int(offset_text))

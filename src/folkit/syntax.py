@@ -11,7 +11,6 @@ is expanded at parse time.
 
 from __future__ import annotations
 
-import functools
 import re
 import threading
 import weakref
@@ -34,6 +33,7 @@ __all__ = [
     "FALSE",
     "FALSE_NAME",
     "EQ_NAME",
+    "MAX_DEPTH",
     "parse_signature",
     "parse_term",
     "parse_formula",
@@ -90,8 +90,8 @@ class Signature:
         for name, arity in list(fns.items()) + list(preds.items()):
             if not _valid_symbol(name):
                 raise ValueError(f"invalid symbol name {name!r}")
-            if not isinstance(arity, int) or arity < 0:
-                raise ValueError(f"negative arity for {name!r}")
+            if type(arity) is not int or arity < 0:
+                raise ValueError(f"arity of {name!r} must be an int >= 0, got {arity!r}")
         overlap = set(fns) & set(preds)
         if overlap:
             raise ValueError(f"duplicate name across functions and predicates: {sorted(overlap)}")
@@ -119,6 +119,13 @@ class Signature:
 # table holds its nodes weakly: an entry leaves when the last reference to
 # its node goes.  Lookups take no lock; building a missing node takes one,
 # so two threads can never publish two nodes for one key.
+#
+# No node is deeper than MAX_DEPTH (a leaf has depth 1): building a deeper
+# one raises ValueError, so no walker, recursing along the depth, comes
+# near the interpreter's recursion limit (deepcopy takes six frames a level).
+
+MAX_DEPTH = 100
+
 
 class _Ref(weakref.ref):
     """The table's reference to a node, with the node's key."""
@@ -137,14 +144,17 @@ def _forget(ref: _Ref) -> None:
     _remove_dead_weakref(_nodes, ref.key)
 
 
-def _intern(key: tuple, rank: int, params: bool):
+def _intern(key: tuple, rank: int, params: bool, depth: int):
     # key is the node's class followed by its fields in declaration order
     cls = key[0]
+    if depth > MAX_DEPTH:
+        raise ValueError(f"term or formula nested too deeply: depth {depth} "
+                         f"exceeds MAX_DEPTH = {MAX_DEPTH}")
     with _lock:
         node = _nodes.get(key, _missing)()
         if node is None:
             node = object.__new__(cls)
-            for set_slot, value in zip(cls._setters, (*key[1:], rank, params)):
+            for set_slot, value in zip(cls._setters, (*key[1:], rank, params, depth)):
                 set_slot(node, value)
             ref = _nodes[key] = _Ref(node, _forget)
             ref.key = key
@@ -154,18 +164,20 @@ def _intern(key: tuple, rank: int, params: bool):
 class _Node:
     """Interned, immutable node.  Besides its fields each node caches
     ``min_rank``, the least n such that it depends on no variable beyond
-    slot n, and ``has_params``, whether a parameter occurs in it; both are
-    computed from the children in O(arity) when the node is built."""
+    slot n, ``has_params``, whether a parameter occurs in it, and
+    ``depth``, the length of its longest path to a leaf (1 for a leaf);
+    all are computed from the children in O(arity) when the node is built."""
 
-    __slots__ = ("min_rank", "has_params", "__weakref__")
+    __slots__ = ("min_rank", "has_params", "depth", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     min_rank: int
     has_params: bool
+    depth: int
 
     def __init_subclass__(cls) -> None:
         # slot writers, bypassing __setattr__: the fields, then the caches
-        names = cls.__match_args__ + ("min_rank", "has_params")
+        names = cls.__match_args__ + ("min_rank", "has_params", "depth")
         cls._setters = tuple(getattr(cls, name).__set__ for name in names)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -202,7 +214,7 @@ class Var(Term):
             # an equal float or bool key would stand in for the int from then on
             if type(index) is not int or index < 1:
                 raise ValueError(f"variable index must be an int >= 1, got {index!r}")
-            node = _intern(key, index, False)
+            node = _intern(key, index, False, 1)
         return node
 
 
@@ -215,7 +227,7 @@ class Param(Term):
         key = (cls, name)
         node = _nodes.get(key, _missing)()
         if node is None:
-            node = _intern(key, 0, True)
+            node = _intern(key, 0, True, 1)
         return node
 
 
@@ -231,7 +243,8 @@ class App(Term):
         node = _nodes.get(key, _missing)()
         if node is None:
             rank = max([a.min_rank for a in args], default=0)
-            node = _intern(key, rank, any([a.has_params for a in args]))
+            node = _intern(key, rank, any([a.has_params for a in args]),
+                           max([a.depth for a in args], default=0) + 1)
         return node
 
 
@@ -266,7 +279,7 @@ class Implies(Formula):
         node = _nodes.get(key, _missing)()
         if node is None:
             node = _intern(key, max(lhs.min_rank, rhs.min_rank),
-                           lhs.has_params or rhs.has_params)
+                           lhs.has_params or rhs.has_params, max(lhs.depth, rhs.depth) + 1)
         return node
 
 
@@ -279,7 +292,7 @@ class Forall(Formula):
         key = (cls, body)
         node = _nodes.get(key, _missing)()
         if node is None:
-            node = _intern(key, max(body.min_rank - 1, 0), body.has_params)
+            node = _intern(key, max(body.min_rank - 1, 0), body.has_params, body.depth + 1)
         return node
 
 
@@ -368,6 +381,11 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
+    """Recursive descent.  ``depth`` is the level a node being parsed will
+    sit at, the root's being 1; it goes up at each ``~``, ``(``, ``->``,
+    ``=`` and application, redundant parentheses included, and text past
+    MAX_DEPTH is refused before any node that deep is asked for."""
+
     def __init__(self, text: str, sig: Signature):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -394,7 +412,9 @@ class _Parser:
 
     # -- terms --------------------------------------------------------------
 
-    def term(self) -> Term:
+    def term(self, depth: int) -> Term:
+        if depth > MAX_DEPTH:
+            raise ParseError("input nested too deeply")
         tok = self.next()
         if tok.startswith("$"):
             return Param(tok[1:])
@@ -409,39 +429,43 @@ class _Parser:
         arity = self.sig.functions.get(tok)
         if arity is None:
             raise ParseError(f"unknown function symbol {tok!r}")
-        args = self.app_args()
+        args = self.app_args(depth + 1)
         if len(args) != arity:
             raise ParseError(f"arity mismatch: {tok} expects {arity}, got {len(args)}")
         return App(tok, args)
 
-    def app_args(self) -> tuple[Term, ...]:
+    def app_args(self, depth: int) -> tuple[Term, ...]:
         self.expect("(")
         if self.peek() == ")":
             self.next()
             return ()
-        args = [self.term()]
+        args = [self.term(depth)]
         while self.peek() == ",":
             self.next()
-            args.append(self.term())
+            args.append(self.term(depth))
         self.expect(")")
         return tuple(args)
 
     # -- formulas -----------------------------------------------------------
 
-    def formula(self) -> Formula:
-        lhs = self.formula_unit()
-        if self.peek() == "->":
-            self.next()
-            return Implies(lhs, self.formula())
-        return lhs
+    def formula(self, depth: int) -> Formula:
+        lhs = self.formula_unit(depth)
+        if self.peek() != "->":
+            return lhs
+        self.next()
+        if lhs.depth + depth > MAX_DEPTH:  # lhs is known only now to sit a level down
+            raise ParseError("input nested too deeply")
+        return Implies(lhs, self.formula(depth + 1))
 
-    def formula_unit(self) -> Formula:
+    def formula_unit(self, depth: int) -> Formula:
+        if depth > MAX_DEPTH:
+            raise ParseError("input nested too deeply")
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input")
         if tok == "~":
             self.next()
-            return Implies(self.formula_unit(), FALSE)
+            return Implies(self.formula_unit(depth + 1), FALSE)
         if tok == "(":
             self.next()
             if self.peek() == "forall":
@@ -453,26 +477,29 @@ class _Parser:
                     index = int(m.group(1))
                     if index < 1:
                         raise ParseError(f"malformed variable {nxt!r}: index must be positive")
-                    body = self.formula()
+                    body = self.formula(depth + 1)
                     self.expect(")")
                     from .subst import forall_var
 
                     return forall_var(body, index)
-                body = self.formula()
+                body = self.formula(depth + 1)
                 self.expect(")")
                 return Forall(body)
-            inner = self.formula()
+            inner = self.formula(depth + 1)
             self.expect(")")
             return inner
-        return self.atom_or_equation()
+        return self.atom_or_equation(depth)
 
-    def atom_or_equation(self) -> Formula:
+    def atom_or_equation(self, depth: int) -> Formula:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input")
         if tok.startswith("$") or _VAR_RE.fullmatch(tok) is not None or tok in self.sig.functions:
-            lhs = self.term()
-            return self.equation(lhs)
+            lhs = self.term(depth + 1)
+            self.expect("=")
+            if not self.sig.with_equality:
+                raise ParseError("'=' used in a signature without equality")
+            return Atom(EQ_NAME, (lhs, self.term(depth + 1)))
         if _NAME_RE.fullmatch(tok) is None:
             raise ParseError(f"expected a formula, got {tok!r}")
         self.next()
@@ -481,45 +508,22 @@ class _Parser:
             raise ParseError(f"unknown predicate symbol {tok!r}")
         if tok == FALSE_NAME and self.peek() != "(":
             return FALSE
-        args = self.app_args()
+        args = self.app_args(depth + 1)
         if len(args) != arity:
             raise ParseError(f"arity mismatch: {tok} expects {arity}, got {len(args)}")
         return Atom(tok, args)
 
-    def equation(self, lhs: Term) -> Formula:
-        self.expect("=")
-        if not self.sig.with_equality:
-            raise ParseError("'=' used in a signature without equality")
-        rhs = self.term()
-        return Atom(EQ_NAME, (lhs, rhs))
 
-
-def depth_guarded(parse):
-    """Report input nested past the interpreter's recursion limit (about a
-    thousand levels) as a ParseError instead of a RecursionError."""
-
-    @functools.wraps(parse)
-    def guarded(text: str, sig: Signature):
-        try:
-            return parse(text, sig)
-        except RecursionError:
-            raise ParseError("input nested too deeply") from None
-
-    return guarded
-
-
-@depth_guarded
 def parse_term(text: str, sig: Signature) -> Term:
     p = _Parser(text, sig)
-    t = p.term()
+    t = p.term(1)
     p.done()
     return t
 
 
-@depth_guarded
 def parse_formula(text: str, sig: Signature) -> Formula:
     p = _Parser(text, sig)
-    f = p.formula()
+    f = p.formula(1)
     p.done()
     return f
 

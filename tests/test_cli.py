@@ -8,7 +8,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from folkit import Implies, eval_formula, induced_valuation_check
+from folkit import MAX_DEPTH, Implies, eval_formula, induced_valuation_check
 from folkit import cli
 from folkit.cli import run
 from strategies import mutated
@@ -91,6 +91,14 @@ class TestAxiom:
             "axiom", "--sig", ARITH_SIG, "(x1 = x2 -> (x1 = x1 -> x2 = x2))"
         )
         assert (code, out) == (0, "AXIOM A8 strip=0 x=1 y=2\n")
+
+    def test_a8_with_a_huge_index_is_fast(self, tmp_path):
+        sig = tmp_path / "sig.fol"
+        sig.write_text("with-equality\npred P 1\n")
+        start = time.perf_counter()
+        code, out, _ = invoke("axiom", "--sig", str(sig), "(eq(x1000000,x1) -> (P(x1000000) -> P(x1)))")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "AXIOM A8 strip=0 x=1000000 y=1\n")
 
     def test_negative_verdict(self):
         code, out, _ = invoke("axiom", "--sig", BASIC, "(false -> false)")
@@ -262,14 +270,38 @@ class TestContract:
         code, _, err = invoke("rank", "--sig", "no_such_file.fol", "P(x1)")
         assert code == 2 and err.startswith("error:")
 
-    def test_deep_nesting_exits_2(self):
-        deep = "~" * 3000 + "R(x1,x1)"
-        for argv in (
-            ("parse", "--sig", PAIR_SIG, deep),
-            ("eval", "--sig", PAIR_SIG, "--model", PAIR_MODEL, deep),
-        ):
-            code, out, err = invoke(*argv)
-            assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+    def test_deep_nesting_exits_2(self, tmp_path):
+        proof, theory, samples = (tmp_path / name for name in ("proof", "theory", "samples"))
+        for n in (MAX_DEPTH + 1, 3000):
+            deep = "~" * n + "R(x1,x1)"
+            deep_term = "g(" * n + "x1" + ")" * n
+            proof.write_text(f"1. R(x1,x1) ; axiom\n2. {deep} ; axiom\n")
+            theory.write_text(f"theory t\ns: {deep}\n")
+            samples.write_text(f"R(x1,x1)\nterm {deep_term}\n")
+            model = ("--model", PAIR_MODEL)
+            for argv in (
+                ("parse", deep),
+                ("subst", deep, "[x1; +0]"),
+                ("subst", "R(x1,x1)", f"[{deep_term}; +0]"),
+                ("rank", deep),
+                ("freevars", deep_term),
+                ("axiom", deep),
+                ("check", str(proof)),
+                ("check", "--theory", str(theory), str(DATA / "mp_proof.fol")),
+                ("eval", *model, deep),
+                ("countermodel", deep),
+                ("countermodel", "--theory", str(theory), "R(x1,x1)"),
+                ("audit", *model, str(samples)),
+            ):
+                code, out, err = invoke(argv[0], "--sig", PAIR_SIG, *argv[1:])
+                assert (code, out, err) == (2, "", "error: input nested too deeply\n"), argv
+
+    def test_substitution_past_the_limit_exits_2(self):
+        term = "g(" * (MAX_DEPTH - 3) + "x1" + ")" * (MAX_DEPTH - 3)
+        code, out, err = invoke("subst", "--sig", PAIR_SIG, f"R({term},x1)", "[g(g(x1)); +0]")
+        assert (code, out) == (2, "")
+        assert err == (f"error: term or formula nested too deeply: depth {MAX_DEPTH + 1} "
+                       f"exceeds MAX_DEPTH = {MAX_DEPTH}\n")
 
     def test_repeated_runs_are_byte_identical(self):
         argv = ("countermodel", "--sig", P_SIG, "--max-size", "1", "(forall P(x1))")
@@ -357,7 +389,7 @@ SAMPLES = (DATA / "pair_samples.fol").read_text()
 # grow variable indices, and audit's equality conditions quantify over
 # every slot up to the largest one, at a cost exponential in it.
 FORMULA_PIECES = ("g", "R", "P", "f", "c", "eq", "~", "(", ")", "->", ",", "=", "x1", "x2",
-                  "x3", "$0", "$m", "false", "forall", "(forall x2 ", "-")
+                  "x3", "$0", "$m", "false", "forall", "(forall x2 ", "-", "~" * (MAX_DEPTH + 1))
 SAMPLE_PIECES = FORMULA_PIECES + ("\n", "#", "term ")
 FILE_PIECES = SAMPLE_PIECES + (":", ";", "0", "1", "domain", "fn", "pred", "env", "theory",
                                "with-induction", "hyp", "axiom", "mp", "ind(", "[", "]", "+1")

@@ -39,7 +39,6 @@ from strategies import (
     data,
     formulas,
     random_axiom_instance,
-    substitutions,
     terms,
     with_entry,
 )
@@ -185,11 +184,22 @@ def _apply(d, sigma):
     return subst_term(d, sigma) if isinstance(d, Term) else subst_formula(d, sigma)
 
 
+def _one_slot(slot: int, term: Term, tail: int) -> Substitution:
+    """The sequence mapping slot to term and every other slot j to x(j + tail)."""
+    if not slot:
+        return Substitution((), tail)
+    return Substitution(tuple(Var(j + tail) for j in range(1, slot)) + (term,), tail)
+
+
 @settings(max_examples=300, deadline=None)
-@given(data(SIG3EQ), substitutions(SIG3EQ), st.integers(0, 2), st.integers(1, 4), terms(SIG3EQ))
-def test_image_decides_substitution_images(s, sigma, depth, slot, t):
+@given(data(SIG3EQ), st.integers(0, 4), terms(SIG3EQ), st.integers(-1, 2), st.integers(0, 2),
+       st.integers(1, 4), terms(SIG3EQ))
+def test_image_decides_substitution_images(s, slot, term, tail, depth, other, t):
+    if tail < 0:
+        slot = 1  # every other slot j must map to a variable x(j + tail)
+    sigma = _one_slot(slot, term, tail)
     image = _apply(s, _lifted(sigma, depth))
-    wrong_entry = _apply(s, _lifted(with_entry(sigma, slot, t), depth))
+    wrong_entry = _apply(s, _lifted(with_entry(sigma, other, t), depth))
     wrong_tail = _apply(s, _lifted(Substitution(sigma.prefix, sigma.tail_offset + 1), depth))
     for u in (image, shift_up(image), wrong_entry, wrong_tail, s):
-        assert _image(s, u, sigma.prefix, sigma.tail_offset, depth, None) == (u is image)
+        assert _image(s, u, slot, term, tail, depth, None) == (u is image)

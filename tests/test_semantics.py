@@ -10,6 +10,7 @@ from folkit import (
     DEFAULT_CEILING,
     EMPTY_THEORY,
     FALSE,
+    MAX_DEPTH,
     App,
     Atom,
     EvalError,
@@ -38,6 +39,7 @@ from folkit import (
     shift_up,
     subst_formula,
     subst_term,
+    syntax,
 )
 import reference_semantics as reference
 from reference_semantics import AtomicValuation, herbrand_eval
@@ -147,19 +149,20 @@ class TestCompiledEvaluator:
         assert eval_formula(Forall(p0), mod2_structure(("0",)), ()) is True
         assert eval_formula(Forall(p0), mod2_structure(("1",)), ()) is False
 
-    def test_deep_nesting_raises_eval_error(self):
-        chain = Atom("P", (Var(1),))
-        term = Var(1)
-        for _ in range(3000):
-            chain = Implies(Atom("P", (Var(1),)), chain)
-            term = App("plus", (term, Var(1)))
-        s = mod2_structure()
-        with pytest.raises(EvalError, match="formula nested too deeply"):
-            eval_formula(chain, s, ("0",))
-        with pytest.raises(EvalError, match="formula nested too deeply"):
-            eval_term(term, s, ("0",))
-        with pytest.raises(EvalError, match="formula nested too deeply"):
-            find_countermodel(EMPTY_THEORY, chain, Signature({}, {"P": 1}), 1)
+    def test_deep_nesting_is_refused_when_built(self):
+        # no tree deeper than MAX_DEPTH can be built, so none reaches the evaluator
+        atom = Atom("P", (Var(1),))
+        chain, term = atom, Var(1)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            for _ in range(3000):
+                chain = Implies(atom, chain)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            for _ in range(3000):
+                term = App("plus", (term, Var(1)))
+        assert chain.depth == term.depth == MAX_DEPTH
+        assert (Implies, atom, chain) not in syntax._nodes
+        assert (App, "plus", (term, Var(1))) not in syntax._nodes
+        assert eval_formula(chain, mod2_structure(), ("0",)) is True
 
 
 class TestStructureInvariants:

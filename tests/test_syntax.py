@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import time
 
 import pytest
@@ -64,6 +65,14 @@ class TestSignature:
             parse_signature("fn f -1")
         with pytest.raises(ParseError):
             parse_signature("fn x1 0")
+
+    def test_arity_must_be_a_nonnegative_int(self):
+        for arity in ("2", True, -1):
+            message = f"arity of 'f' must be an int >= 0, got {arity!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Signature({"f": arity})
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Signature({}, {"f": arity})
 
     def test_directive_must_come_first(self):
         with pytest.raises(ParseError):
