@@ -37,6 +37,7 @@ from .syntax import (
     has_params,
     parse_formula,
     print_formula,
+    read_int,
     source_lines,
 )
 
@@ -566,20 +567,15 @@ def _parse_justification(text: str, sig: Signature, lineno: int) -> Justificatio
     if parts and parts[0] == "hyp" and len(parts) == 2:
         return ByHyp(parts[1])
     if parts and parts[0] == "mp" and len(parts) == 3:
-        try:
-            return ByMP(int(parts[1]), int(parts[2]))
-        except ValueError:
-            raise ParseError(f"line {lineno}: mp needs two line numbers") from None
+        message = f"line {lineno}: mp needs two line numbers"
+        return ByMP(read_int(parts[1], message), read_int(parts[2], message))
     m = _IND_RE.fullmatch(text)
     if m is not None:
         inner = m.group(1)
         if "," not in inner:
             raise ParseError(f"line {lineno}: ind needs a formula and a variable index")
         formula_text, var_text = inner.rsplit(",", 1)
-        try:
-            var = int(var_text.strip())
-        except ValueError:
-            raise ParseError(f"line {lineno}: ind variable must be an integer") from None
+        var = read_int(var_text, f"line {lineno}: ind variable must be an integer")
         f = parse_formula(formula_text, sig)
         if has_params(f):
             raise ParseError(f"line {lineno}: parameters are not allowed in proofs")
@@ -593,7 +589,7 @@ def parse_proof(text: str, sig: Signature) -> Proof:
         m = _LINE_RE.fullmatch(line)
         if m is None:
             raise ParseError(f"line {lineno}: expected 'N. FORMULA ; JUSTIFICATION'")
-        number = int(m.group(1))
+        number = read_int(m.group(1), f"line {lineno}: proof line number has too many digits")
         if number != len(lines) + 1:
             raise ParseError(f"line {lineno}: expected proof line {len(lines) + 1}, got {number}")
         rest = m.group(2)

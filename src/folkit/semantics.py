@@ -41,6 +41,7 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    at_line,
     has_params,
     print_formula,
     source_lines,
@@ -706,25 +707,21 @@ def parse_model(text: str, sig: Signature) -> tuple[Structure, Env | None]:
     domain: tuple[str, ...] | None = None
     fn_tables: dict[str, dict[tuple[str, ...], str]] = {}
     pred_tables: dict[str, set[tuple[str, ...]]] = {}
-    env: Env | None = None
+    env_line: tuple[int, str] | None = None
     for lineno, line in source_lines(text):
         parts = line.split()
         if parts[0] == "domain":
             if domain is not None:
                 raise ParseError(f"line {lineno}: duplicate domain line")
-            if len(parts) < 2:
-                raise ParseError(f"line {lineno}: the carrier must be nonempty")
             domain = tuple(parts[1:])
+            at_line(lineno, Structure.make, Signature(), domain)  # the carrier's rules
             continue
         if domain is None:
             raise ParseError(f"line {lineno}: the domain line must come first")
         if parts[0] == "env":
-            if env is not None:
+            if env_line is not None:
                 raise ParseError(f"line {lineno}: duplicate env line")
-            env = tuple(parts[1:])
-            for m in env:
-                if m not in domain:
-                    raise ParseError(f"line {lineno}: env element {m!r} not in the domain")
+            env_line = lineno, line[len("env") :]
             continue
         if parts[0] == "fn":
             rest = line[len("fn") :].strip()
@@ -758,7 +755,10 @@ def parse_model(text: str, sig: Signature) -> tuple[Structure, Env | None]:
         structure = Structure.make(sig, domain, fn_tables, pred_tables)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return structure, env
+    if env_line is None:
+        return structure, None
+    lineno, env_text = env_line
+    return structure, at_line(lineno, parse_env, env_text, structure)
 
 
 def print_model(structure: Structure, env: Env | None = None) -> str:

@@ -27,7 +27,9 @@ from .syntax import (
     Term,
     Var,
     _Parser,
+    _read,
     print_term,
+    read_int,
 )
 
 __all__ = [
@@ -273,12 +275,5 @@ def parse_substitution(text: str, sig: Signature) -> Substitution:
     offset_text = offset_text.strip()
     if _OFFSET_RE.fullmatch(offset_text) is None:
         raise ParseError(f"tail offset must be +N or -N, got {offset_text!r}")
-    parser = _Parser(prefix_text, sig)
-    terms: list[Term] = []
-    if parser.peek() is not None:
-        terms.append(parser.term(1))
-        while parser.peek() == ",":
-            parser.next()
-            terms.append(parser.term(1))
-        parser.done()
-    return Substitution(tuple(terms), int(offset_text))
+    offset = read_int(offset_text, "tail offset has too many digits")
+    return Substitution(_read(prefix_text, sig, _Parser.terms), offset)

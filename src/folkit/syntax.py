@@ -56,12 +56,6 @@ class ParseError(ValueError):
     """Raised on malformed source text for any of the file formats."""
 
 
-def _valid_symbol(name: str) -> bool:
-    if name == "forall":
-        return False
-    return _NAME_RE.fullmatch(name) is not None and _VAR_RE.fullmatch(name) is None
-
-
 @dataclass(frozen=True)
 class Signature:
     """Function and predicate symbols with arities.
@@ -88,10 +82,13 @@ class Signature:
             preds[EQ_NAME] = 2
         fns = dict(self.functions)
         for name, arity in list(fns.items()) + list(preds.items()):
-            if not _valid_symbol(name):
+            if name == "forall" or _NAME_RE.fullmatch(name) is None or _VAR_RE.fullmatch(name):
                 raise ValueError(f"invalid symbol name {name!r}")
             if type(arity) is not int or arity < 0:
                 raise ValueError(f"arity of {name!r} must be an int >= 0, got {arity!r}")
+        reserved = fns.keys() & {FALSE_NAME, EQ_NAME}
+        if reserved:
+            raise ValueError(f"reserved name {min(reserved)!r} cannot be a function symbol")
         overlap = set(fns) & set(preds)
         if overlap:
             raise ValueError(f"duplicate name across functions and predicates: {sorted(overlap)}")
@@ -366,30 +363,27 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        if m.group("bad") is not None:
+    for m in _TOKEN_RE.finditer(text):  # only trailing blanks match no token
+        if m.lastgroup == "bad":
             raise ParseError(f"unexpected character {m.group('bad')!r} at position {m.start('bad')}")
-        tok = m.group("arrow") or m.group("punct") or m.group("param") or m.group("name")
-        if tok is not None:
-            tokens.append(tok)
-        pos = m.end()
+        tokens.append(m.group(m.lastgroup))
     return tokens
 
 
 class _Parser:
-    """Recursive descent.  ``depth`` is the level a node being parsed will
-    sit at, the root's being 1; it goes up at each ``~``, ``(``, ``->``,
-    ``=`` and application, redundant parentheses included, and text past
-    MAX_DEPTH is refused before any node that deep is asked for."""
+    """Recursive descent.  It reads the text's shape and looks up symbols
+    and arities in the signature; every rule on the nodes it builds is
+    their constructors'.  Brackets are the one place it recurses before it
+    builds a node, so it counts open brackets and refuses text with more
+    than MAX_DEPTH of them open; ``~`` runs and ``->`` chains are read in
+    loops.  How deep a built node is, ``_intern`` alone decides: ``_read``
+    reports its refusal as the same ParseError."""
 
     def __init__(self, text: str, sig: Signature):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = sig
+        self.open_brackets = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -405,101 +399,102 @@ class _Parser:
         got = self.next()
         if got != tok:
             raise ParseError(f"expected {tok!r}, got {got!r}")
+        if tok == "(":
+            self.open_brackets += 1
+            if self.open_brackets > MAX_DEPTH:
+                raise ParseError("input nested too deeply")
+        elif tok == ")":
+            self.open_brackets -= 1
 
-    def done(self) -> None:
-        if self.peek() is not None:
-            raise ParseError(f"trailing input at {self.peek()!r}")
+    def var_index(self, tok: str) -> int:
+        """The index of a variable token xN."""
+        index = read_int(tok[1:], "variable index has too many digits")
+        if index < 1:
+            raise ParseError(f"malformed variable {tok!r}: index must be positive")
+        return index
 
     # -- terms --------------------------------------------------------------
 
-    def term(self, depth: int) -> Term:
-        if depth > MAX_DEPTH:
-            raise ParseError("input nested too deeply")
+    def term(self) -> Term:
         tok = self.next()
         if tok.startswith("$"):
             return Param(tok[1:])
-        m = _VAR_RE.fullmatch(tok)
-        if m is not None:
-            index = int(m.group(1))
-            if index < 1:
-                raise ParseError(f"malformed variable {tok!r}: index must be positive")
-            return Var(index)
+        if _VAR_RE.fullmatch(tok) is not None:
+            return Var(self.var_index(tok))
         if _NAME_RE.fullmatch(tok) is None:
             raise ParseError(f"expected a term, got {tok!r}")
         arity = self.sig.functions.get(tok)
         if arity is None:
             raise ParseError(f"unknown function symbol {tok!r}")
-        args = self.app_args(depth + 1)
-        if len(args) != arity:
-            raise ParseError(f"arity mismatch: {tok} expects {arity}, got {len(args)}")
-        return App(tok, args)
+        return App(tok, self.app_args(tok, arity))
 
-    def app_args(self, depth: int) -> tuple[Term, ...]:
-        self.expect("(")
-        if self.peek() == ")":
-            self.next()
+    def terms(self, end: str | None = None) -> tuple[Term, ...]:
+        """Comma-separated terms, none if the next token is end."""
+        if self.peek() == end:
             return ()
-        args = [self.term(depth)]
+        args = [self.term()]
         while self.peek() == ",":
             self.next()
-            args.append(self.term(depth))
-        self.expect(")")
+            args.append(self.term())
         return tuple(args)
+
+    def app_args(self, symbol: str, arity: int) -> tuple[Term, ...]:
+        self.expect("(")
+        args = self.terms(")")
+        self.expect(")")
+        if len(args) != arity:
+            raise ParseError(f"arity mismatch: {symbol} expects {arity}, got {len(args)}")
+        return args
 
     # -- formulas -----------------------------------------------------------
 
-    def formula(self, depth: int) -> Formula:
-        lhs = self.formula_unit(depth)
-        if self.peek() != "->":
-            return lhs
-        self.next()
-        if lhs.depth + depth > MAX_DEPTH:  # lhs is known only now to sit a level down
-            raise ParseError("input nested too deeply")
-        return Implies(lhs, self.formula(depth + 1))
-
-    def formula_unit(self, depth: int) -> Formula:
-        if depth > MAX_DEPTH:
-            raise ParseError("input nested too deeply")
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        if tok == "~":
+    def formula(self) -> Formula:
+        units = [self.formula_unit()]
+        while self.peek() == "->":
             self.next()
-            return Implies(self.formula_unit(depth + 1), FALSE)
-        if tok == "(":
-            self.next()
-            if self.peek() == "forall":
-                self.next()
-                nxt = self.peek()
-                m = _VAR_RE.fullmatch(nxt) if nxt is not None else None
-                if m is not None:
-                    self.next()
-                    index = int(m.group(1))
-                    if index < 1:
-                        raise ParseError(f"malformed variable {nxt!r}: index must be positive")
-                    body = self.formula(depth + 1)
-                    self.expect(")")
-                    from .subst import forall_var
+            units.append(self.formula_unit())
+        f = units.pop()
+        for lhs in reversed(units):
+            f = Implies(lhs, f)
+        return f
 
-                    return forall_var(body, index)
-                body = self.formula(depth + 1)
-                self.expect(")")
-                return Forall(body)
-            inner = self.formula(depth + 1)
+    def formula_unit(self) -> Formula:
+        negations = 0
+        while self.peek() == "~":
+            self.next()
+            negations += 1
+        f = self.bracketed() if self.peek() == "(" else self.atom_or_equation()
+        for _ in range(negations):
+            f = Implies(f, FALSE)
+        return f
+
+    def bracketed(self) -> Formula:
+        self.expect("(")
+        if self.peek() != "forall":
+            f = self.formula()
             self.expect(")")
-            return inner
-        return self.atom_or_equation(depth)
+            return f
+        self.next()
+        nxt = self.peek()
+        index = self.var_index(self.next()) if nxt and _VAR_RE.fullmatch(nxt) else None
+        body = self.formula()
+        self.expect(")")
+        if index is None:
+            return Forall(body)
+        from .subst import forall_var
 
-    def atom_or_equation(self, depth: int) -> Formula:
+        return forall_var(body, index)
+
+    def atom_or_equation(self) -> Formula:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input")
         if tok.startswith("$") or _VAR_RE.fullmatch(tok) is not None or tok in self.sig.functions:
-            lhs = self.term(depth + 1)
+            lhs = self.term()
             self.expect("=")
             if not self.sig.with_equality:
                 raise ParseError("'=' used in a signature without equality")
-            return Atom(EQ_NAME, (lhs, self.term(depth + 1)))
+            return Atom(EQ_NAME, (lhs, self.term()))
         if _NAME_RE.fullmatch(tok) is None:
             raise ParseError(f"expected a formula, got {tok!r}")
         self.next()
@@ -508,28 +503,34 @@ class _Parser:
             raise ParseError(f"unknown predicate symbol {tok!r}")
         if tok == FALSE_NAME and self.peek() != "(":
             return FALSE
-        args = self.app_args(depth + 1)
-        if len(args) != arity:
-            raise ParseError(f"arity mismatch: {tok} expects {arity}, got {len(args)}")
-        return Atom(tok, args)
+        return Atom(tok, self.app_args(tok, arity))
+
+
+def _read(text: str, sig: Signature, rule):
+    """What rule reads from a parser over the whole of text."""
+    p = _Parser(text, sig)
+    try:
+        node = rule(p)
+    except ParseError:
+        raise
+    except ValueError:
+        # the text read is well formed, so only _intern can have refused a node
+        raise ParseError("input nested too deeply") from None
+    if p.peek() is not None:
+        raise ParseError(f"trailing input at {p.peek()!r}")
+    return node
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    p = _Parser(text, sig)
-    t = p.term(1)
-    p.done()
-    return t
+    return _read(text, sig, _Parser.term)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    p = _Parser(text, sig)
-    f = p.formula(1)
-    p.done()
-    return f
+    return _read(text, sig, _Parser.formula)
 
 
 # ---------------------------------------------------------------------------
-# Signature files
+# Line-based files: the helpers they share, and signature files
 
 def source_lines(text: str):
     """Yield ``(lineno, line)`` for each line of a file in any of the line
@@ -540,46 +541,50 @@ def source_lines(text: str):
             yield lineno, line
 
 
+def read_int(text: str, message: str) -> int:
+    """text as an int, or ParseError(message) if it is none or has more
+    digits than int() converts."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(message) from None
+
+
+def at_line(lineno: int, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported as a ParseError at
+    line lineno."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def parse_signature(text: str) -> Signature:
     """Parse the signature file format.
 
     Lines: optional ``with-equality`` first, then ``fn NAME ARITY`` and
-    ``pred NAME ARITY`` in any order; ``#`` starts a comment.
+    ``pred NAME ARITY`` in any order; ``#`` starts a comment.  This reads
+    the lines' shape and refuses a name declared twice; the rules on each
+    declaration (a valid name, an arity >= 0, ``false`` and ``eq`` only as
+    their reserved predicates) are ``Signature``'s, checked by building
+    the declaration alone.
     """
-    functions: dict[str, int] = {}
-    predicates: dict[str, int] = {}
+    tables: dict[str, dict[str, int]] = {"functions": {}, "predicates": {}}
     with_equality = False
-    seen_decl = False
     for lineno, line in source_lines(text):
         if line == "with-equality":
-            if seen_decl or with_equality:
+            if with_equality or any(tables.values()):
                 raise ParseError(f"line {lineno}: with-equality must be the first directive")
             with_equality = True
             continue
         parts = line.split()
         if len(parts) != 3 or parts[0] not in ("fn", "pred"):
             raise ParseError(f"line {lineno}: expected 'fn NAME ARITY' or 'pred NAME ARITY'")
-        kind, name, arity_text = parts
-        try:
-            arity = int(arity_text)
-        except ValueError:
-            raise ParseError(f"line {lineno}: arity must be an integer, got {arity_text!r}") from None
-        if arity < 0:
-            raise ParseError(f"line {lineno}: negative arity for {name!r}")
-        if not _valid_symbol(name):
-            raise ParseError(f"line {lineno}: invalid symbol name {name!r}")
-        seen_decl = True
-        if name == FALSE_NAME:
-            if kind != "pred" or arity != 0:
-                raise ParseError(f"line {lineno}: reserved name 'false' must be a 0-ary predicate")
-            continue
-        if name == EQ_NAME:
-            if kind != "pred" or arity != 2:
-                raise ParseError(f"line {lineno}: reserved name 'eq' must be a 2-ary predicate")
-            with_equality = True
-            continue
-        table = functions if kind == "fn" else predicates
-        if name in functions or name in predicates:
+        keyword, name, arity_text = parts
+        arity = read_int(arity_text, f"line {lineno}: arity must be an integer, got {arity_text!r}")
+        if any(name in table for table in tables.values()):
             raise ParseError(f"line {lineno}: duplicate name {name!r}")
-        table[name] = arity
-    return Signature(functions, predicates, with_equality)
+        kind = "functions" if keyword == "fn" else "predicates"
+        at_line(lineno, Signature, **{kind: {name: arity}})
+        tables[kind][name] = arity
+    return Signature(**tables, with_equality=with_equality)

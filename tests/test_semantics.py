@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 
@@ -567,6 +568,17 @@ class TestModelFiles:
         text = print_model(structure) + "env 7\n"
         with pytest.raises(ParseError):
             parse_model(text, SIG5)
+
+    def test_carrier_and_env_errors_name_their_line(self):
+        # the carrier's rules are Structure.make's, the env's parse_env's
+        sig = Signature({}, {"P": 1})
+        for text, message in (
+            ("# a model\ndomain\n", "line 2: the carrier must be nonempty"),
+            ("domain 0 0\n", "line 1: carrier elements must be distinct"),
+            ("domain 0 1\nenv 0 7\npred P: 1\n", "line 2: env element '7' not in the domain"),
+        ):
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                parse_model(text, sig)
 
     def test_zero_ary_function_lines(self):
         sig = Signature({"zero": 0}, {"P": 1})

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+import sys
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from folkit import (
     FALSE,
+    MAX_DEPTH,
     App,
     Atom,
     Forall,
@@ -23,6 +25,7 @@ from folkit import (
     forall_var,
     neg,
     parse_formula,
+    parse_proof,
     parse_signature,
     parse_substitution,
     parse_term,
@@ -57,6 +60,29 @@ class TestSignature:
             parse_signature("pred eq 3")
         with pytest.raises(ParseError):
             parse_signature("fn eq 2")
+
+    def test_reserved_names_are_not_function_symbols(self):
+        for name in ("eq", "false"):
+            message = f"reserved name '{name}' cannot be a function symbol"
+            for args in (({name: 2},), ({name: 2}, {}, False), ({name: 0}, {}, True)):
+                with pytest.raises(ValueError, match=message):
+                    Signature(*args)
+            with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+                parse_signature(f"fn f 1\nfn {name} 2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("fn f -1", "line 1: arity of 'f' must be an int >= 0, got -1"),
+        ("pred x1 0", "line 1: invalid symbol name 'x1'"),
+        ("fn forall 1", "line 1: invalid symbol name 'forall'"),
+        ("pred false 1", "line 1: reserved predicate 'false' must have arity 0"),
+        ("pred eq 3", "line 1: reserved predicate 'eq' must have arity 2"),
+        ("pred eq 2\npred eq 2", "line 2: duplicate name 'eq'"),
+        ("pred false 0\n\npred false 0", "line 3: duplicate name 'false'"),
+    ])
+    def test_declaration_errors_name_their_line(self, text, message):
+        # each declaration is checked by Signature itself, built alone
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_signature(text)
 
     def test_duplicates_and_negative_arity(self):
         with pytest.raises(ParseError):
@@ -212,6 +238,49 @@ def test_term_round_trip(t):
 def test_formula_round_trip(f):
     assert parse_formula(print_formula(f), SIG3) == f
     check_formula(f, SIG3)
+
+
+P1 = Atom("P", (Var(1),))
+# six shapes of chain, each grown from a formula of depth 2
+CHAINS = {
+    "-> right": (P1, lambda f: Implies(P1, f)),
+    "-> left": (P1, lambda f: Implies(f, P1)),
+    "~": (P1, neg),
+    "forall": (P1, Forall),
+    "application": (P1, lambda f: Atom("P", (App("succ", f.args),))),
+    "equation": (Atom("eq", (Var(1), Var(2))),
+                 lambda f: Atom("eq", (App("succ", f.args[:1]), f.args[1]))),
+}
+
+
+@pytest.mark.parametrize("start, grow", CHAINS.values(), ids=CHAINS)
+def test_printed_formulas_parse_back_up_to_the_limit(start, grow):
+    f = start
+    while f.depth < MAX_DEPTH:
+        f = grow(f)
+        assert parse_formula(print_formula(f), SIG) is f, f.depth
+
+
+DIGITS = "1" * 5000
+LONG_INTEGERS = {
+    "variable": lambda: parse_formula(f"P(x{DIGITS})", SIG),
+    "forall xN": lambda: parse_formula(f"(forall x{DIGITS} P(x1))", SIG),
+    "term": lambda: parse_term(f"x{DIGITS}", SIG),
+    "tail offset": lambda: parse_substitution(f"[x1; +{DIGITS}]", SIG),
+    "proof line": lambda: parse_proof(f"{DIGITS}. P(x1) ; axiom", SIG),
+    "mp": lambda: parse_proof(f"1. P(x1) ; mp 1 {DIGITS}", SIG),
+    "ind": lambda: parse_proof(f"1. P(x1) ; ind(P(x1), {DIGITS})", SIG),
+    "arity": lambda: parse_signature(f"fn f {DIGITS}"),
+}
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="int() converts integers of any length here")
+@pytest.mark.parametrize("parse", LONG_INTEGERS.values(), ids=LONG_INTEGERS)
+def test_integers_too_long_for_int_raise_parse_error(parse):
+    with pytest.raises(ParseError) as info:
+        parse()
+    assert "nested too deeply" not in str(info.value)
 
 
 def test_var_index_must_be_positive():
