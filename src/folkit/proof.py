@@ -14,13 +14,19 @@ import re
 from dataclasses import dataclass, replace
 
 from .subst import (
+    SHIFT_DOWN,
+    SHIFT_UP,
+    Substitution,
+    _sparse,
     forall_var,
     instantiate,
     min_rank,
     shift_down,
     shift_up,
+    single,
     single_subst,
     subst_formula,
+    swap_front,
 )
 from .syntax import (
     EQ_NAME,
@@ -30,10 +36,12 @@ from .syntax import (
     Forall,
     Formula,
     Implies,
+    MAX_DEPTH,
     ParseError,
     Signature,
     Term,
     Var,
+    at_line,
     has_params,
     parse_formula,
     print_formula,
@@ -129,29 +137,29 @@ def match_a5(f: Formula) -> Term | None:
     if not (isinstance(f, Implies) and isinstance(f.lhs, Forall)):
         return None
     found: list[Term] = []
-    if not _image(f.lhs.body, f.rhs, 1, None, -1, 0, found):
+    if not _image(f.lhs.body, f.rhs, SHIFT_DOWN, 0, found):
         return None
     return found[0] if found else Var(1)
 
 
-def _image(s: Term | Formula, u: Term | Formula, slot: int, term: Term | None,
-           tail: int, depth: int, found: list[Term] | None) -> bool:
-    """Whether u is s[lift^depth(sigma)] for the sequence sigma that maps
-    ``slot`` to ``term`` and every other slot j to x(j + tail), decided by
-    walking s and u together and building no node.  Slot 0 maps no slot.
+def _image(s: Term | Formula, u: Term | Formula, sigma: Substitution, depth: int,
+           found: list[Term] | None) -> bool:
+    """Whether u is s[lift^depth(sigma)], decided by walking s and u
+    together and reading sigma's exceptions, building no node.
 
-    A None term stands for one still unknown (A5's witness): its first
-    occurrence, under d binders, fixes it as u shifted down d times,
-    recorded in ``found``; every occurrence must then be it shifted up by
-    its depth.
+    When ``found`` is a list, the term at sigma's one exception slot is
+    still unknown (A5's witness): its first occurrence, under d binders,
+    fixes it as u shifted down d times, recorded in ``found``; every
+    occurrence must then be it shifted up by its depth.
     """
     if s.min_rank <= depth:
         # the lifted sequence leaves slots 1..depth alone
         return u is s
     if isinstance(s, Var):
-        if s.index - depth != slot:
-            return isinstance(u, Var) and u.index == s.index + tail
+        term = sigma._entries.get(s.index - depth)
         if term is None:
+            return isinstance(u, Var) and u.index == s.index + sigma.tail_offset
+        if found is not None:
             if not found:
                 w = u
                 for _ in range(depth):
@@ -159,22 +167,26 @@ def _image(s: Term | Formula, u: Term | Formula, slot: int, term: Term | None,
                 found.append(w)
             term = found[0]
         # u must be term shifted up past the depth binders
-        return _image(term, u, 0, None, depth, 0, None)
+        return _image(term, u, _SHIFTS[depth], 0, None)
     if isinstance(s, Implies):
         return (
             isinstance(u, Implies)
-            and _image(s.lhs, u.lhs, slot, term, tail, depth, found)
-            and _image(s.rhs, u.rhs, slot, term, tail, depth, found)
+            and _image(s.lhs, u.lhs, sigma, depth, found)
+            and _image(s.rhs, u.rhs, sigma, depth, found)
         )
     if isinstance(s, Forall):
-        return isinstance(u, Forall) and _image(s.body, u.body, slot, term, tail, depth + 1, found)
+        return isinstance(u, Forall) and _image(s.body, u.body, sigma, depth + 1, found)
     # App or Atom: parameters have rank 0
     if type(u) is not type(s) or u.symbol != s.symbol or len(u.args) != len(s.args):
         return False
     for a, b in zip(s.args, u.args):
-        if not _image(a, b, slot, term, tail, depth, found):
+        if not _image(a, b, sigma, depth, found):
             return False
     return True
+
+
+# the shifts by each depth a node can have, for _image's terms
+_SHIFTS = tuple(Substitution((), d) for d in range(MAX_DEPTH + 1))
 
 
 def _match_a1(f: Formula) -> AxiomTag | None:
@@ -244,7 +256,7 @@ def _match_a6(f: Formula) -> AxiomTag | None:
     if (
         isinstance(f, Implies)
         and isinstance(f.rhs, Forall)
-        and _image(f.lhs, f.rhs.body, 0, None, 1, 0, None)
+        and _image(f.lhs, f.rhs.body, SHIFT_UP, 0, None)
     ):
         return AxiomTag("A6", (f.lhs,))
     return None
@@ -274,10 +286,10 @@ def _match_a8(f: Formula) -> AxiomTag | None:
         and isinstance(f.lhs.args[1], Var)
     ):
         return None
-    x, y = f.lhs.args[0].index, f.lhs.args[1].index
+    x, y = f.lhs.args
     a = f.rhs.lhs
-    if _image(a, f.rhs.rhs, x, Var(y), 0, 0, None):
-        return AxiomTag("A8", (a,), var_pair=(x, y))
+    if _image(a, f.rhs.rhs, single(y, x.index), 0, None):
+        return AxiomTag("A8", (a,), var_pair=(x.index, y.index))
     return None
 
 
@@ -507,9 +519,9 @@ def _is_induction_instance(u: Formula, a: Formula, i: int, n: int) -> bool:
     ):
         return False
     return (
-        _image(a, u.lhs, i, App("zero"), 0, 0, None)
-        and _image(a, claim.body, i, Var(1), 1, 0, None)
-        and _image(a, step.body.rhs, i, App("succ", (Var(1),)), 1, 0, None)
+        _image(a, u.lhs, single(App("zero"), i), 0, None)
+        and _image(a, claim.body, swap_front(i), 0, None)
+        and _image(a, step.body.rhs, _sparse({i: App("succ", (Var(1),))}, 1), 0, None)
     )
 
 
@@ -535,7 +547,7 @@ def parse_theory(text: str, sig: Signature) -> Theory:
             raise ParseError(f"line {lineno}: expected 'NAME: FORMULA'")
         sent_name, formula_text = line.split(":", 1)
         sent_name = sent_name.strip()
-        sentences.append((sent_name, parse_formula(formula_text, sig)))
+        sentences.append((sent_name, at_line(lineno, parse_formula, formula_text, sig)))
     if name is None:
         raise ParseError("missing 'theory NAME' header")
     try:
@@ -576,7 +588,7 @@ def _parse_justification(text: str, sig: Signature, lineno: int) -> Justificatio
             raise ParseError(f"line {lineno}: ind needs a formula and a variable index")
         formula_text, var_text = inner.rsplit(",", 1)
         var = read_int(var_text, f"line {lineno}: ind variable must be an integer")
-        f = parse_formula(formula_text, sig)
+        f = at_line(lineno, parse_formula, formula_text, sig)
         if has_params(f):
             raise ParseError(f"line {lineno}: parameters are not allowed in proofs")
         return ByInd(f, var)
@@ -596,7 +608,7 @@ def parse_proof(text: str, sig: Signature) -> Proof:
         if ";" not in rest:
             raise ParseError(f"line {lineno}: missing ';' before the justification")
         formula_text, just_text = rest.split(";", 1)
-        f = parse_formula(formula_text, sig)
+        f = at_line(lineno, parse_formula, formula_text, sig)
         if has_params(f):
             raise ParseError(f"line {lineno}: parameters are not allowed in proofs")
         lines.append(ProofLine(f, _parse_justification(just_text, sig, lineno)))

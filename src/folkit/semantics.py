@@ -80,9 +80,9 @@ class EvalError(ValueError):
 class SearchLimit(RuntimeError):
     """Countermodel enumeration would exceed the configured ceiling."""
 
-    def __init__(self, count: int, ceiling: int):
+    def __init__(self, count: int, ceiling: int, unit: str = "candidates"):
         super().__init__(
-            f"enumeration of at least {count} candidates exceeds the ceiling of {ceiling}"
+            f"enumeration of at least {count} {unit} exceeds the ceiling of {ceiling}"
         )
         self.count = count
         self.ceiling = ceiling
@@ -155,12 +155,6 @@ class Structure:
         index = {m: i for i, m in enumerate(domain)}
         k = len(domain)
         arity = _arities(sig)
-        # row -> row-major position, for each function arity: a function
-        # table lists every row anyway
-        positions = {
-            n: {row: p for p, row in enumerate(itertools.product(domain, repeat=n))}
-            for n in set(sig.functions.values())
-        }
         fn_tables = fn_tables or {}
         for name in fn_tables:
             if name not in sig.functions:
@@ -170,11 +164,19 @@ class Structure:
             table = fn_tables.get(name)
             if table is None:
                 raise ValueError(f"missing table for function {name!r}")
-            rows = positions[n]
-            if table.keys() != rows.keys():
+            # a total table has k**n rows; past the bit length of the
+            # table's size, the exponent alone shows that it has fewer
+            size = len(table)
+            if k ** min(n, size.bit_length()) != size:
                 raise ValueError(f"table for {name!r} is not total over the carrier")
+            values = [None] * size
+            for row, value in table.items():
+                p = _position(row, n, k, index)
+                if p is None:
+                    raise ValueError(f"table for {name!r} is not total over the carrier")
+                values[p] = value
             try:
-                fns[name] = tuple(map(index.__getitem__, map(table.__getitem__, rows)))
+                fns[name] = tuple(map(index.__getitem__, values))
             except KeyError:
                 raise ValueError(f"table for {name!r} maps outside the carrier") from None
 
@@ -669,13 +671,19 @@ def find_countermodel(
     theory together with an environment falsifying the formula.  Returns
     the enumeration-order-least hit, or None when the search space is
     exhausted.  Refuses searches whose candidate count exceeds the ceiling,
-    counting size by size and stopping at the first size that passes it.
+    counting size by size and stopping at the first size that passes it,
+    and, before that, a rank or an arity past the ceiling.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if has_params(formula):
         raise ValueError("countermodel search needs a parameter-free formula")
     rank = min_rank(formula)
+    # every candidate builds an environment of length rank, and the model
+    # found prints table rows as long as the arities
+    longest = max(rank, *_arities(sig).values())
+    if longest > ceiling:
+        raise SearchLimit(longest, ceiling, "entries in one environment or table row")
     # counts up to about the ceiling squared are built exactly; past that
     # bit length, exponents alone show that a size passes the ceiling
     bits = 2 * ceiling.bit_length()

@@ -1,18 +1,20 @@
 """Simultaneous substitution on terms and formulas.
 
 A substitution stands for an infinite sequence of terms, one per variable
-slot.  Every sequence this calculus needs is *affine past a finite prefix*:
-entry ``i`` equals ``Var(i + d)`` once ``i`` exceeds the prefix.  That
+slot.  Every sequence this calculus needs is a few *exception* slots over
+an affine tail: entry ``i`` equals ``Var(i + d)`` except at finitely many
+slots, as in explicit substitution calculi, where every substitution is
+built from cons and shift (Abadi, Cardelli, Curien & Levy 1991).  That
 representation is closed under composition and under the adjustment made
 when a substitution passes under the quantifier, so the whole calculus
-stays finitely computable.  Substituting under ``Forall`` keeps slot 1
-and shifts every substituted term up by one.
+stays finitely computable, at a cost that follows the formula and the
+exceptions, never the largest slot.  Substituting under ``Forall`` keeps
+slot 1 and shifts every substituted term up by one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .syntax import (
     FALSE,
@@ -59,36 +61,67 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class Substitution:
-    """Finite prefix plus affine tail: entry i is prefix[i-1] for i <= n,
-    and Var(i + tail_offset) beyond.  Trailing prefix entries that already
-    agree with the tail are trimmed, so equal sequences compare equal."""
+    """Exception slots over an affine tail: entry i is ``_entries[i]``
+    where there is one, and Var(i + tail_offset) beyond.  The constructor
+    takes a dense prefix (entry i is prefix[i-1] for i <= n) and keeps only
+    the entries that differ from the tail, so equal sequences compare
+    equal; ``prefix`` rebuilds the dense form on request."""
 
-    prefix: tuple[Term, ...] = ()
-    tail_offset: int = 0
+    __slots__ = ("_entries", "tail_offset")
+    _entries: dict[int, Term]
+    tail_offset: int
 
-    def __post_init__(self) -> None:
-        n, d = len(self.prefix), self.tail_offset
-        if n + 1 + d < 1:
-            raise ValueError(f"tail offset {d} illegal for prefix of length {n}")
-        prefix = self.prefix
-        while prefix:
-            i = len(prefix)
-            if i + d >= 1 and prefix[-1] == Var(i + d):
-                prefix = prefix[:-1]
-            else:
-                break
-        if len(prefix) != n:
-            object.__setattr__(self, "prefix", prefix)
+    def __new__(cls, prefix: tuple[Term, ...] = (), tail_offset: int = 0) -> Substitution:
+        if len(prefix) + 1 + tail_offset < 1:
+            raise ValueError(f"tail offset {tail_offset} illegal for prefix of length {len(prefix)}")
+        return _sparse(_trim(dict(enumerate(prefix, 1)), tail_offset), tail_offset)
+
+    @property
+    def prefix(self) -> tuple[Term, ...]:
+        """The entries up to the last exception slot."""
+        return tuple(map(self.entry, range(1, max(self._entries, default=0) + 1)))
 
     def entry(self, i: int) -> Term:
         """The term substituted for variable slot i (1-based)."""
         if i < 1:
             raise ValueError(f"slot index must be >= 1, got {i}")
-        if i <= len(self.prefix):
-            return self.prefix[i - 1]
-        return Var(i + self.tail_offset)
+        t = self._entries.get(i)
+        return Var(i + self.tail_offset) if t is None else t
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Substitution:
+            return NotImplemented
+        return self.tail_offset == other.tail_offset and self._entries == other._entries
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self._entries.items()), self.tail_offset))
+
+    def __reduce__(self):
+        return _sparse, (self._entries, self.tail_offset)
+
+    def __repr__(self) -> str:
+        return f"Substitution(exceptions={self._entries!r}, tail_offset={self.tail_offset})"
+
+
+def _trim(entries: dict[int, Term], d: int) -> dict[int, Term]:
+    """entries less those equal to the tail +d."""
+    return {i: t for i, t in entries.items() if type(t) is not Var or t.index != i + d}
+
+
+def _sparse(entries: dict[int, Term], d: int) -> Substitution:
+    """The substitution with these exceptions over the tail +d.  No entry
+    may equal the tail, and every slot j with j + d < 1 must have one."""
+    sigma = object.__new__(Substitution)
+    object.__setattr__(sigma, "_entries", entries)
+    object.__setattr__(sigma, "tail_offset", d)
+    return sigma
 
 
 IDENTITY = Substitution((), 0)
@@ -100,7 +133,7 @@ def single(t: Term, i: int) -> Substitution:
     """Substitute t for slot i, leaving every other slot alone."""
     if i < 1:
         raise ValueError(f"slot index must be >= 1, got {i}")
-    return Substitution(tuple(Var(j) for j in range(1, i)) + (t,), 0)
+    return _sparse({} if type(t) is Var and t.index == i else {i: t}, 0)
 
 
 def swap_front(i: int) -> Substitution:
@@ -108,20 +141,22 @@ def swap_front(i: int) -> Substitution:
     slot i becomes slot 1, and the tail shifts up by one."""
     if i < 1:
         raise ValueError(f"slot index must be >= 1, got {i}")
-    return Substitution(tuple(Var(j) for j in range(2, i + 1)) + (Var(1),), 1)
+    return _sparse({i: Var(1)}, 1)
 
 
 def instantiate(t: Term) -> Substitution:
     """The sequence [t, x1, x2, ...]: fill slot 1 with t, shift the rest down."""
-    return Substitution((t,), -1)
+    return _sparse({1: t}, -1)
 
 
 def lift(sigma: Substitution) -> Substitution:
-    """Adjust a substitution for use under one quantifier."""
-    return Substitution(
-        (Var(1),) + tuple(subst_term(t, SHIFT_UP) for t in sigma.prefix),
-        sigma.tail_offset,
-    )
+    """Adjust a substitution for use under one quantifier: slot 1 stays,
+    and every other entry moves up a slot and shifts up by one."""
+    d = sigma.tail_offset
+    entries = {i + 1: subst_term(t, SHIFT_UP) for i, t in sigma._entries.items()}
+    if d:
+        entries[1] = Var(1)
+    return _sparse(entries, d)
 
 
 def subst_term(t: Term, sigma: Substitution) -> Term:
@@ -143,12 +178,14 @@ def subst_formula(f: Formula, sigma: Substitution) -> Formula:
 
 
 def compose(sigma: Substitution, tau: Substitution) -> Substitution:
-    """The substitution applying sigma then tau: entry i is sigma_i[tau]."""
-    n = max(len(sigma.prefix), len(tau.prefix) - sigma.tail_offset, 0)
-    return Substitution(
-        tuple(subst_term(sigma.entry(i), tau) for i in range(1, n + 1)),
-        sigma.tail_offset + tau.tail_offset,
-    )
+    """The substitution applying sigma then tau: entry i is sigma_i[tau].
+    A slot that is no exception of sigma maps to x(i + d), so its entry
+    is tau's at slot i + d."""
+    d = sigma.tail_offset
+    entries = {j - d: t for j, t in tau._entries.items() if j - d >= 1}
+    entries.update((i, subst_term(t, tau)) for i, t in sigma._entries.items())
+    d += tau.tail_offset
+    return _sparse(_trim(entries, d), d)
 
 
 def _apply(d: Term | Formula, sigma: Substitution) -> Term | Formula:
@@ -233,11 +270,8 @@ def has_rank(d: Term | Formula, n: int) -> bool:
 
 
 def forall_var(a: Formula, i: int) -> Formula:
-    """Quantify variable i: move slot i to the front, then bind it.  When a
-    does not depend on slot i, moving it to the front is a plain shift."""
-    if i < 1:
-        raise ValueError(f"slot index must be >= 1, got {i}")
-    return Forall(subst_formula(a, swap_front(i) if i <= a.min_rank else SHIFT_UP))
+    """Quantify variable i: move slot i to the front, then bind it."""
+    return Forall(subst_formula(a, swap_front(i)))
 
 
 def forall_n(a: Formula, n: int) -> Formula:

@@ -32,6 +32,7 @@ from folkit import (
     single_subst,
     subst_formula,
 )
+from folkit.subst import _sparse, _trim
 
 # three functions / three predicates, for the substitution-law suites
 SIG3 = Signature({"a": 0, "f": 1, "g": 2}, {"P": 1, "Q": 2, "R": 0})
@@ -65,11 +66,10 @@ def term_depth(t: Term) -> int:
 
 
 def with_entry(sigma: Substitution, i: int, t: Term) -> Substitution:
-    """Copy of sigma with entry i replaced by t."""
-    n = max(len(sigma.prefix), i)
-    entries = [sigma.entry(j) for j in range(1, n + 1)]
-    entries[i - 1] = t
-    return Substitution(tuple(entries), sigma.tail_offset)
+    """Copy of sigma with entry i replaced by t, built from its exceptions
+    (so a huge i costs nothing)."""
+    d = sigma.tail_offset
+    return _sparse(_trim({**sigma._entries, i: t}, d), d)
 
 
 def fresh_index(a: Formula, sigma: Substitution | None = None, i: int = 0) -> int:

@@ -46,6 +46,15 @@ class TestParse:
         assert (code, out) == (0, "(forall P(x2))\n")
         assert time.perf_counter() - start < 1.0
 
+    def test_huge_quantified_index_costs_the_formula(self):
+        # a substitution stores its exceptions only, so quantifying slot N
+        # costs nothing that grows with N
+        for index in (10**7, 10**100):
+            start = time.perf_counter()
+            code, out, _ = invoke("parse", "--sig", P_SIG, f"(forall x{index} P(x{index}))")
+            assert (code, out) == (0, "(forall P(x1))\n")
+            assert time.perf_counter() - start < 1.0
+
     def test_parse_error_exits_2(self):
         code, out, err = invoke("parse", "--sig", BASIC, "P(x1")
         assert code == 2 and out == "" and err.startswith("error:")
@@ -95,10 +104,11 @@ class TestAxiom:
     def test_a8_with_a_huge_index_is_fast(self, tmp_path):
         sig = tmp_path / "sig.fol"
         sig.write_text("with-equality\npred P 1\n")
-        start = time.perf_counter()
-        code, out, _ = invoke("axiom", "--sig", str(sig), "(eq(x1000000,x1) -> (P(x1000000) -> P(x1)))")
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (0, "AXIOM A8 strip=0 x=1000000 y=1\n")
+        for x in (10**6, 10**9):
+            start = time.perf_counter()
+            code, out, _ = invoke("axiom", "--sig", str(sig), f"(eq(x{x},x1) -> (P(x{x}) -> P(x1)))")
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (0, f"AXIOM A8 strip=0 x={x} y=1\n")
 
     def test_negative_verdict(self):
         code, out, _ = invoke("axiom", "--sig", BASIC, "(false -> false)")
@@ -140,6 +150,20 @@ class TestCheck:
         assert code == 1
         assert out == "REJECT line=3 reason=line reference out of range\n"
 
+    def test_formula_errors_name_their_line(self, tmp_path):
+        proof, theory = tmp_path / "proof.fol", tmp_path / "theory.fol"
+        for sig, text, error in (
+            (P_SIG, "1. P(x1) ; axiom\n2. Q(x1) ; axiom\n", "line 2: unknown predicate symbol 'Q'"),
+            (BASIC, "\n1. P(x1) ; ind(P(f(x1,x1)), 1)\n",
+             "line 2: arity mismatch: f expects 1, got 2"),
+        ):
+            proof.write_text(text)
+            assert invoke("check", "--sig", sig, str(proof)) == (2, "", f"error: {error}\n")
+        theory.write_text("theory t\nok: (forall P(x1))\nbad: (forall P(x1)\n")
+        code, out, err = invoke("check", "--sig", BASIC, "--theory", str(theory),
+                                str(DATA / "mp_proof.fol"))
+        assert (code, out, err) == (2, "", "error: line 3: unexpected end of input\n")
+
     def test_proof_from_stdin(self):
         text = (DATA / "mp_proof.fol").read_text()
         code, out, _ = invoke(
@@ -160,6 +184,22 @@ class TestEval:
             "--env", "1 1", "R(x1,x2)",
         )
         assert (code, out) == (1, "FALSE\n")
+
+    def test_missing_table_of_a_huge_arity_is_reported_at_once(self, tmp_path):
+        # a table is checked before any row is encoded: 2**30 rows are
+        # never built for a table that is absent or too small
+        sig, model = tmp_path / "sig.fol", tmp_path / "model.fol"
+        sig.write_text("pred P 1\nfn g 30\n")
+        for table, error in (
+            ("", "missing table for function 'g'"),
+            ("fn g: " + " 0" * 30 + " -> 1\n", "table for 'g' is not total over the carrier"),
+        ):
+            model.write_text("domain 0 1\n" + table)
+            start = time.perf_counter()
+            code, out, err = invoke("eval", "--sig", str(sig), "--model", str(model),
+                                    "--env", "0", "P(x1)")
+            assert time.perf_counter() - start < 1.0
+            assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 class TestCountermodel:
@@ -208,6 +248,23 @@ class TestCountermodel:
             assert (code, out) == (2, "")
             assert err.startswith("error: enumeration of at least ")
             assert err.endswith(" candidates exceeds the ceiling of 1000000\n")
+
+    def test_environment_or_row_past_the_ceiling_is_refused_at_once(self, tmp_path):
+        # one candidate on one element, but its environment, or a row of
+        # its function table, would hold more entries than the ceiling
+        sig = tmp_path / "sig.fol"
+        for sig_text, formula, length in (
+            ("pred P 1\n", "P(x1000000000)", 10**9),
+            ("pred P 1\n", "P(x10000000)", 10**7),
+            (f"pred P 1\nfn g {10**9}\n", "P(x1)", 10**9),
+        ):
+            sig.write_text(sig_text)
+            start = time.perf_counter()
+            code, out, err = invoke("countermodel", "--sig", str(sig), "--max-size", "1", formula)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (2, "")
+            assert err == (f"error: enumeration of at least {length} entries in one environment "
+                           "or table row exceeds the ceiling of 1000000\n")
 
 
 class TestAudit:
@@ -279,22 +336,23 @@ class TestContract:
             theory.write_text(f"theory t\ns: {deep}\n")
             samples.write_text(f"R(x1,x1)\nterm {deep_term}\n")
             model = ("--model", PAIR_MODEL)
-            for argv in (
-                ("parse", deep),
-                ("subst", deep, "[x1; +0]"),
-                ("subst", "R(x1,x1)", f"[{deep_term}; +0]"),
-                ("rank", deep),
-                ("freevars", deep_term),
-                ("axiom", deep),
-                ("check", str(proof)),
-                ("check", "--theory", str(theory), str(DATA / "mp_proof.fol")),
-                ("eval", *model, deep),
-                ("countermodel", deep),
-                ("countermodel", "--theory", str(theory), "R(x1,x1)"),
-                ("audit", *model, str(samples)),
+            # a proof or theory file's error names its line
+            for where, argv in (
+                ("", ("parse", deep)),
+                ("", ("subst", deep, "[x1; +0]")),
+                ("", ("subst", "R(x1,x1)", f"[{deep_term}; +0]")),
+                ("", ("rank", deep)),
+                ("", ("freevars", deep_term)),
+                ("", ("axiom", deep)),
+                ("line 2: ", ("check", str(proof))),
+                ("line 2: ", ("check", "--theory", str(theory), str(DATA / "mp_proof.fol"))),
+                ("", ("eval", *model, deep)),
+                ("", ("countermodel", deep)),
+                ("line 2: ", ("countermodel", "--theory", str(theory), "R(x1,x1)")),
+                ("", ("audit", *model, str(samples))),
             ):
                 code, out, err = invoke(argv[0], "--sig", PAIR_SIG, *argv[1:])
-                assert (code, out, err) == (2, "", "error: input nested too deeply\n"), argv
+                assert (code, out, err) == (2, "", f"error: {where}input nested too deeply\n"), argv
 
     def test_substitution_past_the_limit_exits_2(self):
         term = "g(" * (MAX_DEPTH - 3) + "x1" + ")" * (MAX_DEPTH - 3)
@@ -385,22 +443,22 @@ PROOF = (
 MODEL = Path(PAIR_MODEL).read_text()
 SAMPLES = (DATA / "pair_samples.fol").read_text()
 
-# Mutations splice these in.  Formula text gets no bare digits: they would
-# grow variable indices, and audit's equality conditions quantify over
-# every slot up to the largest one, at a cost exponential in it.
+# Mutations splice these in.  Two splices of the long digit run make an
+# index or an arity past 10**9.
 FORMULA_PIECES = ("g", "R", "P", "f", "c", "eq", "~", "(", ")", "->", ",", "=", "x1", "x2",
-                  "x3", "$0", "$m", "false", "forall", "(forall x2 ", "-", "~" * (MAX_DEPTH + 1))
+                  "x3", "$0", "$m", "false", "forall", "(forall x2 ", "-", "~" * (MAX_DEPTH + 1),
+                  "0", "7", "99999")
 SAMPLE_PIECES = FORMULA_PIECES + ("\n", "#", "term ")
-FILE_PIECES = SAMPLE_PIECES + (":", ";", "0", "1", "domain", "fn", "pred", "env", "theory",
-                               "with-induction", "hyp", "axiom", "mp", "ind(", "[", "]", "+1")
+FILE_PIECES = SAMPLE_PIECES + (":", ";", "1", "domain", "fn", "pred", "env", "theory",
+                               "with-induction", "with-equality", "hyp", "axiom", "mp", "ind(",
+                               "[", "]", "+1")
 
 
 @st.composite
 def invocations(draw, tmp: Path):
     """An argv for one of the nine commands with its stdin text, writing
-    the model, theory, proof and sample files it names under ``tmp``.
-    Signature files are never mutated: one large arity makes the tables
-    of a structure, and the count of candidates, astronomically large."""
+    the signature, model, theory, proof and sample files it names under
+    ``tmp``."""
 
     def text(source: str, pieces: tuple[str, ...]) -> str:
         return draw(st.just(source) | mutated(source, pieces, max_edits=2))
@@ -412,7 +470,7 @@ def invocations(draw, tmp: Path):
 
     command = draw(st.sampled_from(COMMANDS))
     sig = draw(st.sampled_from((PAIR_SIG, PAIR_SIG, PAIR_SIG, BASIC, ARITH_SIG)))
-    argv = [command, "--sig", sig]
+    argv = [command, "--sig", file("sig.fol", Path(sig).read_text(), FILE_PIECES)]
     if command in ("check", "countermodel") and draw(st.booleans()):
         argv += ["--theory", file("theory.fol", THEORY, FILE_PIECES)]
     if command in ("eval", "audit"):

@@ -32,6 +32,7 @@ from folkit import (
     subst_term,
 )
 from folkit.proof import _image
+from folkit.subst import _sparse
 from reference_proof import reference_induction_reason, reference_is_axiom
 from strategies import (
     SCHEMAS,
@@ -39,6 +40,7 @@ from strategies import (
     data,
     formulas,
     random_axiom_instance,
+    substitutions,
     terms,
     with_entry,
 )
@@ -184,22 +186,25 @@ def _apply(d, sigma):
     return subst_term(d, sigma) if isinstance(d, Term) else subst_formula(d, sigma)
 
 
-def _one_slot(slot: int, term: Term, tail: int) -> Substitution:
-    """The sequence mapping slot to term and every other slot j to x(j + tail)."""
-    if not slot:
-        return Substitution((), tail)
-    return Substitution(tuple(Var(j + tail) for j in range(1, slot)) + (term,), tail)
+HUGE = 10**9
+
+
+def _near_huge(s):
+    """s beside the variables at slots HUGE .. HUGE + 2, so that an
+    exception at slot HUGE is read under every depth drawn."""
+    if isinstance(s, Term):
+        return App("g", (s, App("g", (Var(HUGE), App("g", (Var(HUGE + 1), Var(HUGE + 2)))))))
+    return Implies(Atom("Q", (Var(HUGE), Var(HUGE + 1))), Implies(Atom("P", (Var(HUGE + 2),)), s))
 
 
 @settings(max_examples=300, deadline=None)
-@given(data(SIG3EQ), st.integers(0, 4), terms(SIG3EQ), st.integers(-1, 2), st.integers(0, 2),
-       st.integers(1, 4), terms(SIG3EQ))
-def test_image_decides_substitution_images(s, slot, term, tail, depth, other, t):
-    if tail < 0:
-        slot = 1  # every other slot j must map to a variable x(j + tail)
-    sigma = _one_slot(slot, term, tail)
+@given(data(SIG3EQ), substitutions(SIG3EQ), st.booleans(), terms(SIG3EQ), st.integers(0, 2),
+       st.sampled_from((1, 2, 3, 4, HUGE)), terms(SIG3EQ))
+def test_image_decides_substitution_images(s, sigma, huge, term, depth, other, t):
+    if huge:
+        s, sigma = _near_huge(s), with_entry(sigma, HUGE, term)
     image = _apply(s, _lifted(sigma, depth))
     wrong_entry = _apply(s, _lifted(with_entry(sigma, other, t), depth))
-    wrong_tail = _apply(s, _lifted(Substitution(sigma.prefix, sigma.tail_offset + 1), depth))
+    wrong_tail = _apply(s, _lifted(_sparse(sigma._entries, sigma.tail_offset + 1), depth))
     for u in (image, shift_up(image), wrong_entry, wrong_tail, s):
-        assert _image(s, u, slot, term, tail, depth, None) == (u is image)
+        assert _image(s, u, sigma, depth, None) == (u is image)

@@ -1,4 +1,6 @@
+import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from folkit import (
     lift,
     min_rank,
     neg,
+    parse_formula,
     parse_substitution,
     print_substitution,
     shift_down,
@@ -43,8 +46,13 @@ from strategies import (
     fresh_index,
     max_index,
     substitutions,
+    terms,
     with_entry,
 )
+
+# a slot far past any formula's size: a substitution stores an exception
+# there as one entry
+HUGE = 10**9
 
 
 def apply(d, sigma):
@@ -66,6 +74,25 @@ class TestSubstitutionRepresentation:
         assert [swap_front(1).entry(i) for i in (1, 2, 3)] == [Var(1), Var(3), Var(4)]
         assert [instantiate(App("a")).entry(i) for i in (1, 2)] == [App("a"), Var(1)]
         assert single(App("a"), 3).entry(2) == Var(2)
+        assert [single(App("a"), HUGE).entry(i) for i in (1, HUGE - 1, HUGE, HUGE + 1)] == [
+            Var(1), Var(HUGE - 1), App("a"), Var(HUGE + 1),
+        ]
+        assert [swap_front(HUGE).entry(i) for i in (1, HUGE - 1, HUGE, HUGE + 1)] == [
+            Var(2), Var(HUGE), Var(1), Var(HUGE + 2),
+        ]
+
+    def test_dense_prefix_on_request(self):
+        assert swap_front(3) == Substitution((Var(2), Var(3), Var(1)), 1)
+        assert swap_front(3).prefix == (Var(2), Var(3), Var(1))
+        assert print_substitution(swap_front(3)) == "[x2, x3, x1; +1]"
+        assert single(App("a"), 2).prefix == (Var(1), App("a"))
+        assert SHIFT_DOWN.prefix == (Var(1),) and SHIFT_UP.prefix == ()
+
+    def test_immutable(self):
+        for name in ("prefix", "tail_offset", "_entries"):
+            with pytest.raises(AttributeError):
+                setattr(SHIFT_UP, name, 0)
+        assert SHIFT_UP.tail_offset == 1
 
     def test_illegal_tail(self):
         with pytest.raises(ValueError):
@@ -178,6 +205,50 @@ class TestSubstitutionLaws:
         assert apply(d, sigma) == apply(d, changed)
 
 
+def huge_substitutions(sig=SIG3):
+    """single and swap_front at a slot next to HUGE."""
+    slots = st.integers(HUGE - 1, HUGE + 1)
+    return st.one_of(st.builds(single, terms(sig), slots), st.builds(swap_front, slots))
+
+
+def near_huge(d):
+    """d beside the variables at slots HUGE .. HUGE + 2, free and bound."""
+    if isinstance(d, (Var, Param, App)):
+        return App("g", (d, App("g", (Var(HUGE), Var(HUGE + 2)))))
+    return Implies(Atom("Q", (Var(HUGE), Var(HUGE + 1))), Forall(Implies(Atom("P", (Var(HUGE + 2),)), d)))
+
+
+class TestHugeSlots:
+    """The laws with one exception at a huge slot."""
+
+    @given(data(SIG3), st.one_of(substitutions(SIG3), huge_substitutions()), huge_substitutions())
+    def test_associativity(self, d, sigma, tau):
+        for x in (d, near_huge(d)):
+            for s, t in ((sigma, tau), (tau, sigma), (tau, tau)):
+                assert apply(apply(x, s), t) == apply(x, compose(s, t))
+
+    @given(substitutions(SIG3), huge_substitutions(),
+           st.sampled_from((1, 2, 3, HUGE - 2, HUGE - 1, HUGE, HUGE + 1, HUGE + 2)))
+    def test_compose_entrywise(self, sigma, tau, i):
+        for s, t in ((sigma, tau), (tau, sigma), (tau, tau)):
+            assert compose(s, t).entry(i) == subst_term(s.entry(i), t)
+
+    def test_equality_hash_and_pickle(self):
+        for sigma in (single(App("a"), HUGE), swap_front(HUGE)):
+            copy = pickle.loads(pickle.dumps(sigma))
+            assert copy == sigma and hash(copy) == hash(sigma)
+            assert copy != IDENTITY and copy != SHIFT_UP
+        assert single(Var(HUGE), HUGE) == IDENTITY
+
+    def test_costs_follow_the_formula(self):
+        start = time.perf_counter()
+        f = parse_formula(f"(forall x{10**7} P(x{10**7}))", SIG3)
+        assert f == Forall(Atom("P", (Var(1),)))
+        assert is_independent(Atom("P", (Var(1),)), HUGE)
+        assert not is_independent(Atom("P", (Var(HUGE),)), HUGE)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestShiftAndRank:
     @given(data(SIG3))
     def test_shift_round_trip(self, d):
@@ -263,7 +334,8 @@ class TestQuantifierLemmas:
 
 
 class TestLift:
-    @given(substitutions(SIG3), st.integers(1, 6))
+    @given(st.one_of(substitutions(SIG3), huge_substitutions()),
+           st.one_of(st.integers(1, 6), st.integers(HUGE - 1, HUGE + 2)))
     def test_lift_entries(self, sigma, i):
         lifted = lift(sigma)
         if i == 1:
