@@ -31,6 +31,7 @@ from .syntax import (
     ParseError,
     Signature,
     Term,
+    at_line,
     parse_formula,
     parse_signature,
     parse_term,
@@ -215,11 +216,11 @@ def _dispatch(args: argparse.Namespace, sig: Signature, stdin: str | None, out: 
         structure, env = _load_model(args, sig)
         samples: list[Formula] = []
         terms: list[Term] = []
-        for _, line in source_lines(text):
+        for lineno, line in source_lines(text):
             if line.startswith("term "):
-                terms.append(parse_term(line[len("term "):], sig))
+                terms.append(at_line(lineno, parse_term, line[len("term "):], sig))
             else:
-                samples.append(parse_formula(line, sig))
+                samples.append(at_line(lineno, parse_formula, line, sig))
         report = induced_valuation_check(structure, env, samples, terms)
         print(report.summary(), file=out)
         print("AUDIT PASS" if report.ok else "AUDIT FAIL", file=out)

@@ -153,8 +153,11 @@ def _intern(key: tuple, rank: int, params: bool, depth: int):
             node = object.__new__(cls)
             for set_slot, value in zip(cls._setters, (*key[1:], rank, params, depth)):
                 set_slot(node, value)
-            ref = _nodes[key] = _Ref(node, _forget)
+            # keyed before it is published: if the insert fails, _forget
+            # still finds the key when the node dies
+            ref = _Ref(node, _forget)
             ref.key = key
+            _nodes[key] = ref
     return node
 
 
@@ -249,10 +252,12 @@ class Formula(_Node):
     """Base class for formula nodes (Atom, Implies, Forall).
 
     ``_code`` holds the node's compiled evaluator once ``semantics`` has
-    built it; it starts unset and is written through the slot descriptor.
+    built it, and ``_tier`` what ``eval_formula`` runs for the node: a
+    count of its calls until the node tiers up, then its code.  Both start
+    unset and are written through the slot descriptors.
     """
 
-    __slots__ = ("_code",)
+    __slots__ = ("_code", "_tier")
 
 
 class Atom(Formula):

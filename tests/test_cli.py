@@ -313,6 +313,25 @@ class TestAudit:
             "AUDIT PASS\n"
         )
 
+    def test_closures_deeper_than_the_limit_are_decided_unbuilt(self, tmp_path):
+        # closing R(x1,x99) over 99 variables would build a node of depth 101
+        sig, model, samples = (tmp_path / name for name in ("sig", "model", "samples"))
+        sig.write_text("with-equality\npred R 2\n")
+        model.write_text("domain 0\n")
+        samples.write_text("R(x1,x99)\n")
+        start = time.perf_counter()
+        code, out, err = invoke("audit", "--sig", str(sig), "--model", str(model), str(samples))
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        assert out == (
+            "condition 1 (falsum excluded): PASS checked=1\n"
+            "condition 2 (implication is material): PASS checked=0\n"
+            "condition 3 (universal instantiation): PASS checked=0\n"
+            "condition 4 (equality reflexivity): PASS checked=4950\n"
+            "condition 5 (equality replacement): PASS checked=3\n"
+            "AUDIT PASS\n"
+        )
+
 
 class TestContract:
     def test_usage_error_exits_2(self):
@@ -336,7 +355,7 @@ class TestContract:
             theory.write_text(f"theory t\ns: {deep}\n")
             samples.write_text(f"R(x1,x1)\nterm {deep_term}\n")
             model = ("--model", PAIR_MODEL)
-            # a proof or theory file's error names its line
+            # a proof, theory or samples file's error names its line
             for where, argv in (
                 ("", ("parse", deep)),
                 ("", ("subst", deep, "[x1; +0]")),
@@ -349,7 +368,7 @@ class TestContract:
                 ("", ("eval", *model, deep)),
                 ("", ("countermodel", deep)),
                 ("line 2: ", ("countermodel", "--theory", str(theory), "R(x1,x1)")),
-                ("", ("audit", *model, str(samples))),
+                ("line 2: ", ("audit", *model, str(samples))),
             ):
                 code, out, err = invoke(argv[0], "--sig", PAIR_SIG, *argv[1:])
                 assert (code, out, err) == (2, "", f"error: {where}input nested too deeply\n"), argv

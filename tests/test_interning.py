@@ -230,3 +230,32 @@ def test_threads_evaluating_fresh_formulas_agree_with_the_reference():
     expected = [[reference.eval_formula(build(i), m, env) for m, env in zip(models, envs)]
                 for i in range(count)]
     assert all(verdicts == expected for verdicts in results)
+
+
+def test_a_failed_insert_leaves_no_reference_without_its_key(monkeypatch):
+    # a node whose table insert fails dies at once; its reference must
+    # already know its key, or _forget raises where nothing can catch it
+    class FailOnce(dict):
+        failed = False
+
+        def __setitem__(self, key, value):
+            if not FailOnce.failed:
+                FailOnce.failed = True
+                raise MemoryError
+            super().__setitem__(key, value)
+
+    gc.collect()  # no other node dies while the table is swapped
+    unraisable: list = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    monkeypatch.setattr(syntax, "_nodes", FailOnce(syntax._nodes))
+    with pytest.raises(MemoryError):
+        Param("insert_fails")
+    gc.collect()
+    assert FailOnce.failed
+    assert (Param, "insert_fails") not in syntax._nodes
+    node = Param("insert_fails")
+    assert Param("insert_fails") is node
+    del node
+    gc.collect()
+    assert (Param, "insert_fails") not in syntax._nodes
+    assert unraisable == []

@@ -39,7 +39,8 @@ from folkit import (
     subst_formula,
     subst_term,
 )
-from folkit import syntax
+from folkit import semantics, syntax
+import reference_semantics as reference
 
 SIG = Signature({"f": 1}, {"P": 1}, with_equality=True)
 STRUCTURE = Structure.make(SIG, ("0", "1"), {"f": {("0",): "1", ("1",): "0"}}, {"P": {("0",)}})
@@ -98,6 +99,16 @@ def test_every_walker_handles_a_formula_at_the_limit(build, one_more):
     assert on_deep_stack(copy.deepcopy, f) is f
     with pytest.raises(ValueError, match="nested too deeply"):
         one_more(f)
+
+
+@pytest.mark.parametrize("build", [case[1] for case in AT_LIMIT],
+                         ids=[case[0] for case in AT_LIMIT])
+def test_a_formula_at_the_limit_tiers_up_to_generated_code(build):
+    f = build()
+    expected = reference.eval_formula(f, reference.named_tables(STRUCTURE), ("0",))
+    for _ in range(semantics._TIER_UP_CALLS + 1):
+        assert on_deep_stack(eval_formula, f, STRUCTURE, ("0",)) is expected
+    assert f._tier.__name__ == "tier"
 
 
 def test_every_walker_handles_a_term_at_the_limit():

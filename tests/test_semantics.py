@@ -337,6 +337,17 @@ class TestAudit:
         )
         assert report.ok and calls
 
+    def test_a_closure_too_deep_to_build_is_named_by_its_body(self):
+        def equality_fails(f, structure, env):
+            return f.symbol != "eq" if type(f) is Atom else eval_formula(f, structure, env)
+
+        structure = Structure.make(SIG5, ("0",), {"g": {("0",): "0"}})
+        report = induced_valuation_check(
+            structure, (), [Atom("R", (Var(1), Var(99)))], [], eval_fn=equality_fails)
+        reflexivity = report.conditions[3]
+        assert reflexivity.failures[:2] == ["(forall eq(x1,x1))", "(forall (forall eq(x1,x1)))"]
+        assert reflexivity.failures[-1] == "eq(x99,x99) closed over 99 variables"
+
     def test_broken_quantifier_caught_by_instantiation(self):
         def broken(f, structure, env):
             ty = type(f)
