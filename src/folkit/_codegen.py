@@ -1,9 +1,9 @@
-"""The second evaluator tier: one generated Python function per formula.
+"""The compiled evaluator: one generated Python function per formula.
 
 :func:`generate` writes the source of a function that evaluates a formula
-over the integer-encoded tables, as the closures of ``semantics`` do, and
-builds it with ``compile``, as ``collections.namedtuple`` builds its
-methods.  In that function
+over the integer-encoded tables of ``semantics`` and builds it with
+``compile``, as ``collections.namedtuple`` builds its methods.  In that
+function
   - a quantifier whose body reads its variable is a ``for`` loop over
     range(k) that stops at the first false instance; any other quantifier
     is decided once, as a carrier is never empty;
@@ -15,8 +15,9 @@ names of its own: symbols and parameter names are passed as default
 arguments.  The function refers to no node, so it dies with the node that
 keeps it.  Reading on entry raises IndexError or KeyError for a short
 environment, a missing table or a parameter outside the carrier even
-where evaluation would not reach them; the caller then falls back on the
-closures.
+where evaluation would not reach them; the caller then answers with the
+tree walk of ``semantics``, which raises each error where evaluation
+reaches it.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class _Source:
             elif ty is Atom or isinstance(d, Term):
                 found = frozenset().union(*(self.facts(a)[0] for a in d.args)), False
             else:
-                raise _TooLarge  # not a formula: the closures raise its error
+                raise _TooLarge  # not a formula: the tree walk raises its error when reached
             self.info[d] = found
         return found
 
@@ -130,7 +131,9 @@ class _Source:
             return f"{self.position(f.args, depth)} in {table}", False
         if ty is Implies:
             return f"not {self.operand(f.lhs, depth)} or {self.expr(f.rhs, depth)[0]}", True
-        return self.expr(f.body, depth + 1)
+        if ty is Forall:
+            return self.expr(f.body, depth + 1)
+        raise _TooLarge  # not a formula: the tree walk raises its error when reached
 
     def operand(self, f: Formula, depth: int) -> str:
         text, is_or = self.expr(f, depth)
@@ -193,10 +196,10 @@ class _Source:
             self.value(f.body, depth + 1)
 
 
-def generate(f: Formula) -> tuple[FunctionType, list[Formula]] | None:
-    """One Python function that evaluates f as its closures do, over the
-    same ``(k, fns, preds, index, env)``, and the formula nodes whose
-    closures it stands in for; None when f is past a limit."""
+def generate(f: Formula) -> FunctionType | None:
+    """One Python function ``(k, fns, preds, index, env) -> bool`` that
+    evaluates f, or None when f is past a limit or holds a term where a
+    formula belongs."""
     source = _Source()
     try:
         source.decide(f, 0, "return True")
@@ -204,13 +207,12 @@ def generate(f: Formula) -> tuple[FunctionType, list[Formula]] | None:
         return None
     parameters = ", ".join(["k, fns, preds, index, env", *source.defaults.values()])
     text = "\n".join([
-        f"def tier({parameters}):",
+        f"def generated({parameters}):",
         *("    " + line for line in source.entry),
         *source.lines,
         "    return True",
     ])
-    code = compile(text, "<folkit tier>", "exec").co_consts[0]
+    code = compile(text, "<folkit generated>", "exec").co_consts[0]
     # the source is not kept, so a line table would point into nothing
     code = code.replace(co_linetable=b"")
-    return (FunctionType(code, _GLOBALS, "tier", tuple(source.defaults)),
-            [node for node in source.info if isinstance(node, Formula)])
+    return FunctionType(code, _GLOBALS, "generated", tuple(source.defaults))

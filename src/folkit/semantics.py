@@ -8,11 +8,11 @@ makes every element nameable and lets the quantifier range over carrier
 elements in place of arbitrary terms.
 
 Internally a structure is integer-encoded over ``range(k)``.  Each
-formula is compiled once, on first evaluation, into closures over those
-integers, and a formula that :func:`eval_formula` evaluates often into
-one generated Python function; the code is kept on the formula node and
-dies with it.  Element names are mapped to indices on the way in and
-back on the way out.
+formula is compiled once, on first evaluation, into one generated Python
+function over those integers; the code is kept on the formula node and
+dies with it.  A plain tree walk answers where that function cannot: it
+raises each error where evaluation reaches it.  Element names are mapped
+to indices on the way in and back on the way out.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .proof import Theory
 from .subst import (
@@ -229,20 +230,21 @@ def _row(pos: int, n: int, domain: tuple[str, ...]) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The evaluator.  Each formula is compiled once into nested closures over
-# ``(k, fns, preds, index, env)`` (Feeley & Lapalme, "Using closures for
-# code generation", 1987), and the code is kept on the node, so equal
-# formulas, being one object, share it.  ``env`` holds the index of the
-# value of x(i+1) at position i, and a quantifier prepends each carrier
-# index in turn.  Element names appear only in the public wrappers below.
+# The evaluator.  ``env`` holds the index of the value of x(i+1) at position
+# i, and a quantifier prepends each carrier index in turn.  Element names
+# appear only in the public wrappers below.
 #
-# A node's shape is decided when it is compiled, but every error is raised
-# when evaluation reaches the node, as a tree walk would raise it: a short
-# environment or a missing table on a branch never taken is no error.
-# Child code is bound as default arguments, which cost less memory than
-# closure cells, and no code refers to a node, so a node still dies by
-# reference count and takes its code with it.  Only finished code is
-# stored; two threads may both compile a node, and either copy is right.
+# Each formula node runs one Python function generated from its shape (see
+# ``_codegen``) from its first evaluation, kept in the node's ``_code`` slot,
+# so equal formulas, being one object, share it.  The function reads every
+# table, parameter and free variable on entry, so a read that fails there
+# may be one that evaluation would never reach; that call, a node past the
+# generator's limits (``_code`` is None) and eval_term run the tree walk
+# below, which raises every error where evaluation reaches it: a short
+# environment or a missing table on a branch never taken is no error.  No
+# code refers to a node, so a node still dies by reference count and takes
+# its code with it.  Only finished code is stored; two threads may both
+# generate a node's function, and either copy is right.
 
 _store_code = Formula._code.__set__
 
@@ -255,196 +257,73 @@ def _no_table(kind: str, symbol: str) -> EvalError:
     return EvalError(f"no table for {kind} {symbol!r}")
 
 
-def _term(t: Term):
-    """Code ``(k, fns, index, env) -> element index`` for the term ``t``."""
+def _value(t: Term, k: int, fns, index, env: tuple[int, ...]) -> int:
+    """The element index that the term ``t`` denotes."""
     ty = type(t)
     if ty is Var:
-        def code(k, fns, index, env, i=t.index - 1):
-            try:
-                return env[i]
-            except IndexError:
-                raise _short(env, i + 1) from None
-        return code
+        try:
+            return env[t.index - 1]
+        except IndexError:
+            raise _short(env, t.index) from None
     if ty is Param:
-        def code(k, fns, index, env, name=t.name):
-            try:
-                return index[name]
-            except KeyError:
-                raise EvalError(f"parameter {name!r} is not a carrier element") from None
-        return code
-    symbol, args = t.symbol, tuple(map(_term, t.args))
-    if len(args) == 1:
-        def code(k, fns, index, env, symbol=symbol, a=args[0]):
-            try:
-                table = fns[symbol]
-            except KeyError:
-                raise _no_table("function", symbol) from None
-            return table[a(k, fns, index, env)]
-    elif len(args) == 2:
-        def code(k, fns, index, env, symbol=symbol, a=args[0], b=args[1]):
-            try:
-                table = fns[symbol]
-            except KeyError:
-                raise _no_table("function", symbol) from None
-            return table[a(k, fns, index, env) * k + b(k, fns, index, env)]
-    else:
-        def code(k, fns, index, env, symbol=symbol, args=args):
-            try:
-                table = fns[symbol]
-            except KeyError:
-                raise _no_table("function", symbol) from None
-            pos = 0
-            for a in args:
-                pos = pos * k + a(k, fns, index, env)
-            return table[pos]
-    return code
+        try:
+            return index[t.name]
+        except KeyError:
+            raise EvalError(f"parameter {t.name!r} is not a carrier element") from None
+    try:
+        table = fns[t.symbol]
+    except KeyError:
+        raise _no_table("function", t.symbol) from None
+    return table[_row_position(t.args, k, fns, index, env)]
 
 
-def _atom(symbol: str, args: tuple[Term, ...]):
-    """Code ``(k, fns, preds, index, env) -> bool`` for ``symbol(*args)``.
-    Arities up to two compute the row position inline, and variables
-    index the environment directly."""
-    if not args:
-        def code(k, fns, preds, index, env, symbol=symbol):
-            try:
-                return 0 in preds[symbol]
-            except KeyError:
-                raise _no_table("predicate", symbol) from None
-        return code
-    if len(args) <= 2 and all(type(a) is Var for a in args):
-        if len(args) == 1:
-            def code(k, fns, preds, index, env, symbol=symbol, i=args[0].index - 1):
-                try:
-                    table = preds[symbol]
-                    return env[i] in table
-                except KeyError:
-                    raise _no_table("predicate", symbol) from None
-                except IndexError:
-                    raise _short(env, i + 1) from None
-            return code
-        def code(k, fns, preds, index, env, symbol=symbol,
-                 i=args[0].index - 1, j=args[1].index - 1):
-            try:
-                table = preds[symbol]
-                return env[i] * k + env[j] in table
-            except KeyError:
-                raise _no_table("predicate", symbol) from None
-            except IndexError:
-                raise _short(env, (i if i >= len(env) else j) + 1) from None
-        return code
-    args = tuple(map(_term, args))
-    if len(args) == 1:
-        def code(k, fns, preds, index, env, symbol=symbol, a=args[0]):
-            try:
-                table = preds[symbol]
-            except KeyError:
-                raise _no_table("predicate", symbol) from None
-            return a(k, fns, index, env) in table
-    elif len(args) == 2:
-        def code(k, fns, preds, index, env, symbol=symbol, a=args[0], b=args[1]):
-            try:
-                table = preds[symbol]
-            except KeyError:
-                raise _no_table("predicate", symbol) from None
-            return a(k, fns, index, env) * k + b(k, fns, index, env) in table
-    else:
-        def code(k, fns, preds, index, env, symbol=symbol, args=args):
-            try:
-                table = preds[symbol]
-            except KeyError:
-                raise _no_table("predicate", symbol) from None
-            pos = 0
-            for a in args:
-                pos = pos * k + a(k, fns, index, env)
-            return pos in table
-    return code
+def _row_position(args: tuple[Term, ...], k: int, fns, index, env: tuple[int, ...]) -> int:
+    """The row-major position of the values of ``args``."""
+    pos = 0
+    for a in args:
+        pos = pos * k + _value(a, k, fns, index, env)
+    return pos
 
 
-def _compile(f: Formula):
-    """The code ``(k, fns, preds, index, env) -> bool`` of ``f``: read
-    from the node, or compiled and stored there on first use."""
+def _holds(f: Formula, k: int, fns, preds, index, env: tuple[int, ...]) -> bool:
+    """Whether ``f`` holds, by a walk of its tree."""
+    ty = type(f)
+    if ty is Implies:
+        return not _holds(f.lhs, k, fns, preds, index, env) or _holds(
+            f.rhs, k, fns, preds, index, env)
+    if ty is Forall:
+        body = f.body
+        if body.min_rank == 0:
+            # the body reads no variable, so one carrier element decides it
+            # (a carrier is never empty)
+            return _holds(body, k, fns, preds, index, env)
+        for m in range(k):
+            if not _holds(body, k, fns, preds, index, (m,) + env):
+                return False
+        return True
+    if ty is Atom:
+        try:
+            table = preds[f.symbol]
+        except KeyError:
+            raise _no_table("predicate", f.symbol) from None
+        return _row_position(f.args, k, fns, index, env) in table
+    raise EvalError(f"not a formula: {f!r}")
+
+
+def _generated(f: Formula):
+    """The generated function of ``f``, made and stored on its first use;
+    None for a node past the generator's limits and for a non-formula."""
     try:
         return f._code
     except AttributeError:
-        pass
-    ty = type(f)
-    if ty is Atom:
-        code = _atom(f.symbol, f.args)
-    elif ty is Implies and type(f.rhs) is Implies:
-        # (a -> (b -> c)) takes one function, not two: the implication
-        # chains of axiom instances are most of the nodes compiled
-        def code(k, fns, preds, index, env, a=_compile(f.lhs), b=_compile(f.rhs.lhs),
-                 c=_compile(f.rhs.rhs)):
-            return (not a(k, fns, preds, index, env) or not b(k, fns, preds, index, env)
-                    or c(k, fns, preds, index, env))
-    elif ty is Implies:
-        def code(k, fns, preds, index, env, lhs=_compile(f.lhs), rhs=_compile(f.rhs)):
-            return not lhs(k, fns, preds, index, env) or rhs(k, fns, preds, index, env)
-    elif ty is Forall and f.body.min_rank == 0:
-        # the body reads no variable, so one carrier element decides it
-        # (a carrier is never empty)
-        code = _compile(f.body)
-    elif ty is Forall:
-        def code(k, fns, preds, index, env, body=_compile(f.body)):
-            for m in range(k):
-                if not body(k, fns, preds, index, (m,) + env):
-                    return False
-            return True
-    else:
-        def code(k, fns, preds, index, env, message=f"not a formula: {f!r}"):
-            raise EvalError(message)
-        return code
-    _store_code(f, code)
-    return code
-
-
-# ---------------------------------------------------------------------------
-# The second tier.  eval_formula counts its calls on a node in the node's
-# ``_tier`` slot, where an int costs nothing, as small ints are shared.  At
-# _TIER_UP_CALLS it generates one Python function for the node (see
-# ``_codegen``) and stores it in the slot instead: PEP 659's "warm up, then
-# specialise".  A call whose function fails to read a table, parameter or
-# variable on entry returns what the closures return (evaluation is pure),
-# and they raise the exact lazy EvalError, if any.  Once a node has its
-# function, the closures serve only that fallback, so the node and its
-# subformulas drop them and a fallback compiles them again.  A node past
-# CPython's limits on static nesting, or too large, keeps its closures.
-# Two threads may race to generate a node; either function is right.
-#
-# On the criterion-5 formulas at k = 3 (2-core VM, Python 3.11.7),
-# generating a function costs 130 to 180 us, and each call of it then saves
-# 0.7 to 1.0 us against the closures, so generating pays after 150 to 220
-# calls.  Tiering up at that break-even never costs more than twice the
-# better choice made in hindsight (the ski-rental bound), and 200 keeps
-# the count a shared small int.
-_TIER_UP_CALLS = 200
-
-_store_tier = Formula._tier.__set__
-_drop_code = Formula._code.__delete__
-
-
-def _warm(f: Formula, calls: int):
-    """The code of eval_formula's next call on f, after ``calls`` calls:
-    the closures while it warms up, then its generated function."""
-    code = _compile(f)
-    if not isinstance(f, Formula):
-        return code
-    if calls < _TIER_UP_CALLS:
-        _store_tier(f, calls + 1)
-        return code
-    # imported at the first tier-up, so that a process that never tiers up,
-    # as a one-shot command, does not compile the module
+        if not isinstance(f, Formula):
+            return None
+    # imported here, so that a command that evaluates nothing does not
+    # compile the module
     from ._codegen import generate
 
-    generated = generate(f)
-    if generated is not None:
-        code, covered = generated
-        for node in covered:
-            try:
-                _drop_code(node)
-            except AttributeError:
-                pass
-    _store_tier(f, code)
+    code = generate(f)
+    _store_code(f, code)
     return code
 
 
@@ -465,7 +344,7 @@ def eval_term(t: Term, structure: Structure, env: Env) -> str:
         ienv = tuple(map(index.__getitem__, env))
     except KeyError:
         raise _outside(env, index) from None
-    return s.domain[_term(t)(len(s.domain), s._fns, index, ienv)]
+    return s.domain[_value(t, len(s.domain), s._fns, index, ienv)]
 
 
 def eval_formula(f: Formula, structure: Structure, env: Env) -> bool:
@@ -473,9 +352,8 @@ def eval_formula(f: Formula, structure: Structure, env: Env) -> bool:
 
     Raises :class:`EvalError` as :func:`eval_term` does.  Symbols must be
     used at their declared arities, as the parser and ``check_formula``
-    ensure.  A node runs on its closures until this function has been
-    called on it a fixed number of times, and on one generated Python
-    function from then on.
+    ensure.  The first evaluation of a node generates one Python function
+    for it, which every later evaluation runs.
     """
     s = structure
     index = s._index
@@ -484,19 +362,18 @@ def eval_formula(f: Formula, structure: Structure, env: Env) -> bool:
     except KeyError:
         raise _outside(env, index) from None
     try:
-        code = f._tier
+        code = f._code
     except AttributeError:
-        code = 0
-    if code.__class__ is int:
-        code = _warm(f, code)
+        code = _generated(f)
     k, fns, preds = len(s.domain), s._fns, s._preds
-    try:
-        return code(k, fns, preds, index, ienv)
-    except (IndexError, KeyError):
-        pass
+    if code is not None:
+        try:
+            return code(k, fns, preds, index, ienv)
+        except (IndexError, KeyError):
+            pass
     # generated code reads every table, parameter and variable on entry;
-    # the closures raise the lazy EvalError, if any
-    return _compile(f)(k, fns, preds, index, ienv)
+    # the walk raises the lazy EvalError, if any
+    return _holds(f, k, fns, preds, index, ienv)
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +643,21 @@ def find_countermodel(
         total += count_structures(sig, size) * size**rank
         if total > ceiling:
             raise SearchLimit(total, ceiling)
-    sentences = [_compile(f) for _, f in theory.sentences]
-    code = _compile(formula)
+    formulas = [f for _, f in theory.sentences] + [formula]
+    try:
+        return _search([_generated(f) or partial(_holds, f) for f in formulas],
+                       sig, max_size, rank)
+    except (IndexError, KeyError):
+        # generated code reads every table on entry, so a symbol outside
+        # sig fails there even on a branch never taken; the search is
+        # deterministic, so the walk finds the same first hit or error
+        return _search([partial(_holds, f) for f in formulas], sig, max_size, rank)
+
+
+def _search(codes: list, sig: Signature, max_size: int, rank: int) -> tuple[Structure, Env] | None:
+    """The enumeration of find_countermodel, with ``codes`` holding the
+    code of each theory sentence and, last, of the formula."""
+    *sentences, code = codes
     for size in range(1, max_size + 1):
         domain, index = _carrier(size)
         for fns, preds in _encoded_tables(sig, size):

@@ -251,13 +251,13 @@ class App(Term):
 class Formula(_Node):
     """Base class for formula nodes (Atom, Implies, Forall).
 
-    ``_code`` holds the node's compiled evaluator once ``semantics`` has
-    built it, and ``_tier`` what ``eval_formula`` runs for the node: a
-    count of its calls until the node tiers up, then its code.  Both start
-    unset and are written through the slot descriptors.
+    ``_code`` holds the function that ``semantics`` generates to evaluate
+    the node, or None when the node is past the generator's limits.  It
+    starts unset, is set at the node's first evaluation, and is written
+    through the slot descriptor.
     """
 
-    __slots__ = ("_code", "_tier")
+    __slots__ = ("_code",)
 
 
 class Atom(Formula):

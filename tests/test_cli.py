@@ -2,6 +2,9 @@
 
 import functools
 import io
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -58,6 +61,22 @@ class TestParse:
     def test_parse_error_exits_2(self):
         code, out, err = invoke("parse", "--sig", BASIC, "P(x1")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_parsing_compiles_no_evaluator(self):
+        # the generator of evaluation code is imported at the first
+        # evaluation, so a command that evaluates nothing never compiles it
+        def loads_generator(*argv):
+            probe = (f"import sys\nfrom folkit import cli\ncli.run({list(argv)!r})\n"
+                     "print('folkit._codegen' in sys.modules)")
+            env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src")}
+            run = subprocess.run([sys.executable, "-c", probe], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert run.returncode == 0, run.stderr
+            return run.stdout.splitlines()[-1]
+
+        assert loads_generator("parse", "--sig", BASIC, "(forall ~P(x1))") == "False"
+        assert loads_generator("eval", "--sig", PAIR_SIG, "--model", PAIR_MODEL,
+                               "R(x1,x2)") == "True"
 
 
 class TestSubst:

@@ -106,9 +106,11 @@ def test_every_walker_handles_a_formula_at_the_limit(build, one_more):
 def test_a_formula_at_the_limit_tiers_up_to_generated_code(build):
     f = build()
     expected = reference.eval_formula(f, reference.named_tables(STRUCTURE), ("0",))
-    for _ in range(semantics._TIER_UP_CALLS + 1):
+    for _ in range(2):  # the first evaluation generates the function, the second runs it
         assert on_deep_stack(eval_formula, f, STRUCTURE, ("0",)) is expected
-    assert f._tier.__name__ == "tier"
+    assert f._code.__name__ == "generated"
+    encoded = 2, STRUCTURE._fns, STRUCTURE._preds, STRUCTURE._index, (0,)
+    assert on_deep_stack(semantics._holds, f, *encoded) is expected
 
 
 def test_every_walker_handles_a_term_at_the_limit():

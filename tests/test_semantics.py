@@ -139,6 +139,18 @@ class TestCompiledEvaluator:
                 assert ours == theirs
         assert eval_formula(Implies(FALSE, Atom("P", (Var(5),))), s, ()) is True
 
+    def test_a_term_where_a_formula_belongs_is_walked(self):
+        # no function is generated for such a formula; the walk answers on
+        # the first evaluation and on every later one
+        s = mod2_structure(("0",))
+        p0 = Atom("P", (Param("0"),))
+        for t in (Var(1), Param("0"), App("plus", (Var(1), Param("1")))):
+            for f in (Implies(t, p0), Implies(FALSE, t), Implies(p0, t),
+                      Forall(t), Implies(FALSE, Forall(t))):
+                first, second = (self.outcomes(f, s, ("1",)) for _ in range(2))
+                assert first == second and first[0] == first[1]
+                assert f._code is None
+
     def test_forall_over_a_body_of_rank_0(self):
         p0 = Atom("P", (Param("0"),))
         for p_elems in ((), ("0",), ("1",), ("0", "1")):
@@ -432,6 +444,33 @@ class TestCountermodel:
             # the ceiling squared is reported as a lower bound
             assert info.value.count == 2 + 2 ** (2 * DEFAULT_CEILING.bit_length())
             assert "exceeds the ceiling" in str(info.value)
+
+    def test_a_symbol_outside_the_signature_raises_only_where_reached(self):
+        # the parser refuses such symbols, so only hand-built formulas and
+        # sentences have them; generated code reads every table on entry,
+        # so the search runs again on the walk, which meets the same first
+        # hit or raises the same first error
+        p1 = Atom("P", (Var(1),))
+        everywhere = Theory("t", (("s", Forall(p1)),))
+        reached = Structure.make(SIG_P, ("0",), {}, {"P": {("0",)}})
+        for bad in (Atom("Q", (Var(1),)), Atom("P", (App("h", (Var(1),)),))):
+            skipped = Forall(Implies(FALSE, bad))  # true and closed; bad is never reached
+            guarded = Theory("t", (("s", Forall(Implies(skipped, p1))),))
+            for f in (p1, Implies(p1, FALSE), Forall(p1)):
+                assert (find_countermodel(EMPTY_THEORY, Implies(skipped, f), SIG_P, 2)
+                        == find_countermodel(EMPTY_THEORY, f, SIG_P, 2))
+                assert (find_countermodel(guarded, f, SIG_P, 2)
+                        == find_countermodel(everywhere, f, SIG_P, 2))
+            with pytest.raises(EvalError) as expected:
+                eval_formula(Implies(p1, bad), reached, ("0",))
+            # reached in the formula once P holds somewhere, and in the
+            # sentence at the first candidate
+            unless_p = Theory("t", (("s", Forall(Implies(Implies(p1, FALSE), bad))),))
+            for theory, f in ((EMPTY_THEORY, Implies(p1, bad)), (unless_p, p1)):
+                for search in (find_countermodel, reference.naive_countermodel):
+                    with pytest.raises(EvalError) as found:
+                        search(theory, f, SIG_P, 2)
+                    assert str(found.value) == str(expected.value)
 
     def test_parameters_rejected(self):
         with pytest.raises(ValueError):
