@@ -11,19 +11,20 @@ function
     read into locals on entry;
   - quantifier-free parts are single expressions.
 No text from the input reaches the source, which holds only integers and
-names of its own: symbols and parameter names are passed as default
+names of its own: table keys and parameter names are passed as default
 arguments.  The function refers to no node, so it dies with the node that
 keeps it.  Reading on entry raises IndexError or KeyError for a short
-environment, a missing table or a parameter outside the carrier even
-where evaluation would not reach them; the caller then answers with the
-tree walk of ``semantics``, which raises each error where evaluation
-reaches it.
+environment, a missing table (also one at another arity) or a parameter
+outside the carrier even where evaluation would not reach them;
+``eval_formula`` then answers with the tree walk of ``semantics``, which
+raises each error where evaluation reaches it.
 """
 
 from __future__ import annotations
 
 from types import FunctionType
 
+from .semantics import _key
 from .syntax import Atom, Forall, Formula, Implies, Param, Term, Var
 
 # CPython refuses a 21st statically nested block and a 100th level of
@@ -47,7 +48,7 @@ class _Source:
         self.lines: list[str] = []
         self.entry: list[str] = []
         self.locals: dict[tuple, str] = {}  # (kind, key) -> local name
-        self.defaults: dict[str, str] = {}  # symbol or parameter name -> argument name
+        self.defaults: dict[str, str] = {}  # table key or parameter name -> argument name
         self.info: dict = {}  # node -> (free variable indices, has a loop)
         self.indent = 1
         self.loops = 0
@@ -108,7 +109,8 @@ class _Source:
             return self.local("e", t.index - depth, f"env[{t.index - depth - 1}]")
         if ty is Param:
             return self.local("p", t.name, f"index[{self.argument(t.name)}]")
-        table = self.local("f", t.symbol, f"fns[{self.argument(t.symbol)}]")
+        key = _key(t.symbol, len(t.args))
+        table = self.local("f", key, f"fns[{self.argument(key)}]")
         return f"{table}[{self.position(t.args, depth)}]"
 
     def position(self, args: tuple[Term, ...], depth: int) -> str:
@@ -127,7 +129,8 @@ class _Source:
         self.visit()
         ty = type(f)
         if ty is Atom:
-            table = self.local("t", f.symbol, f"preds[{self.argument(f.symbol)}]")
+            key = _key(f.symbol, len(f.args))
+            table = self.local("t", key, f"preds[{self.argument(key)}]")
             return f"{self.position(f.args, depth)} in {table}", False
         if ty is Implies:
             return f"not {self.operand(f.lhs, depth)} or {self.expr(f.rhs, depth)[0]}", True
@@ -213,6 +216,4 @@ def generate(f: Formula) -> FunctionType | None:
         "    return True",
     ])
     code = compile(text, "<folkit generated>", "exec").co_consts[0]
-    # the source is not kept, so a line table would point into nothing
-    code = code.replace(co_linetable=b"")
     return FunctionType(code, _GLOBALS, "generated", tuple(source.defaults))

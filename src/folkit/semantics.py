@@ -7,18 +7,19 @@ evaluate to themselves, so taking the parameter set to be the carrier
 makes every element nameable and lets the quantifier range over carrier
 elements in place of arbitrary terms.
 
-Internally a structure is integer-encoded over ``range(k)``.  Each
-formula is compiled once, on first evaluation, into one generated Python
-function over those integers; the code is kept on the formula node and
-dies with it.  A plain tree walk answers where that function cannot: it
-raises each error where evaluation reaches it.  Element names are mapped
-to indices on the way in and back on the way out.
+Internally a structure is integer-encoded over ``range(k)``, one table per
+symbol and arity.  Each formula is compiled once, on first evaluation,
+into one generated Python function over those integers; the code is kept
+on the formula node and dies with it.  A plain tree walk answers where
+that function cannot: it raises each error where evaluation reaches it.
+Element names are mapped to indices on the way in and back on the way out.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -44,6 +45,7 @@ from .syntax import (
     Term,
     Var,
     at_line,
+    check_formula,
     has_params,
     print_formula,
     source_lines,
@@ -97,25 +99,19 @@ class Structure:
     Elements are stored as their indices into ``domain``.  A function of
     arity n is the tuple of its values over ``range(k) ** n`` in row-major
     order; a predicate is the frozenset of the row-major positions of its
-    members.  Build one with :meth:`make`, which validates named tables
-    against a signature, copies and encodes them, and fills in the fixed
-    tables for ``false`` and ``eq``; :attr:`fn_tables` and
-    :attr:`pred_tables` decode them back to element names.
+    members; each is keyed ``"name/n"`` by its symbol and arity.  Build one
+    with :meth:`make`, which validates named tables against a signature,
+    copies and encodes them, and fills in the fixed tables for ``false`` and
+    ``eq``; :attr:`fn_tables` and :attr:`pred_tables` decode them back.
     """
 
     domain: tuple[str, ...]
     _fns: dict[str, tuple[int, ...]]
     _preds: dict[str, frozenset[int]]
-    _arity: dict[str, int]
     _index: dict[str, int] = field(compare=False)
 
     def __hash__(self) -> int:
-        return hash((
-            self.domain,
-            frozenset(self._fns.items()),
-            frozenset(self._preds.items()),
-            frozenset(self._arity.items()),
-        ))
+        return hash((self.domain, frozenset(self._fns.items()), frozenset(self._preds.items())))
 
     def __repr__(self) -> str:
         return (f"Structure(domain={self.domain!r}, fn_tables={self.fn_tables!r}, "
@@ -126,16 +122,16 @@ class Structure:
         """Function tables by element names, freshly decoded."""
         d = self.domain
         return {
-            name: dict(zip(itertools.product(d, repeat=self._arity[name]), map(d.__getitem__, table)))
-            for name, table in self._fns.items()
+            name: dict(zip(itertools.product(d, repeat=n), map(d.__getitem__, table)))
+            for (name, n), table in zip(map(_symbol, self._fns), self._fns.values())
         }
 
     @property
     def pred_tables(self) -> dict[str, frozenset[tuple[str, ...]]]:
         """Predicate relations by element names, freshly decoded."""
         return {
-            name: frozenset(_row(p, self._arity[name], self.domain) for p in members)
-            for name, members in self._preds.items()
+            name: frozenset(_row(p, n, self.domain) for p in members)
+            for (name, n), members in zip(map(_symbol, self._preds), self._preds.values())
         }
 
     @classmethod
@@ -156,7 +152,6 @@ class Structure:
                 raise ValueError(f"invalid carrier element {m!r}")
         index = {m: i for i, m in enumerate(domain)}
         k = len(domain)
-        arity = _arities(sig)
         fn_tables = fn_tables or {}
         for name in fn_tables:
             if name not in sig.functions:
@@ -178,13 +173,14 @@ class Structure:
                     raise ValueError(f"table for {name!r} is not total over the carrier")
                 values[p] = value
             try:
-                fns[name] = tuple(map(index.__getitem__, values))
+                fns[_key(name, n)] = tuple(map(index.__getitem__, values))
             except KeyError:
                 raise ValueError(f"table for {name!r} maps outside the carrier") from None
 
-        preds = {name: frozenset() for name in sig.predicates}
+        keys = {name: _key(name, n) for name, n in sig.predicates.items()}
+        preds = dict.fromkeys(keys.values(), frozenset())
         if sig.with_equality:
-            preds[EQ_NAME] = frozenset(range(0, k * k, k + 1))  # the positions of (m, m)
+            preds[_EQ_KEY] = frozenset(range(0, k * k, k + 1))  # the positions of (m, m)
         for name, members in (pred_tables or {}).items():
             n = sig.predicates.get(name)
             if n is None:
@@ -195,14 +191,24 @@ class Structure:
             if None in encoded:
                 bad = [row for row in members if _position(row, n, k, index) is None]
                 raise ValueError(f"bad entry {min(bad, key=repr)!r} in table for {name!r}")
-            if name in (FALSE_NAME, EQ_NAME) and encoded != preds[name]:
+            if name in (FALSE_NAME, EQ_NAME) and encoded != preds[keys[name]]:
                 raise ValueError(f"the table for {name!r} is fixed and cannot be overridden")
-            preds[name] = encoded
-        return cls(domain, fns, preds, arity, index)
+            preds[keys[name]] = encoded
+        return cls(domain, fns, preds, index)
 
 
-def _arities(sig: Signature) -> dict[str, int]:
-    return {**sig.functions, **sig.predicates}
+def _key(symbol: str, arity: int) -> str:
+    """The key of a symbol's table: a symbol used at another arity finds none."""
+    return sys.intern(f"{symbol}/{arity}")
+
+
+def _symbol(key: str) -> tuple[str, int]:
+    """The symbol and arity of a table key."""
+    name, _, n = key.partition("/")
+    return name, int(n)
+
+
+_EQ_KEY = _key(EQ_NAME, 2)
 
 
 def _position(row: tuple[str, ...], n: int, k: int, index: dict[str, int]) -> int | None:
@@ -241,20 +247,14 @@ def _row(pos: int, n: int, domain: tuple[str, ...]) -> tuple[str, ...]:
 # may be one that evaluation would never reach; that call, a node past the
 # generator's limits (``_code`` is None) and eval_term run the tree walk
 # below, which raises every error where evaluation reaches it: a short
-# environment or a missing table on a branch never taken is no error.  No
-# code refers to a node, so a node still dies by reference count and takes
-# its code with it.  Only finished code is stored; two threads may both
-# generate a node's function, and either copy is right.
+# environment or a missing table on a branch never taken is no error.
+# Countermodel search checks its formulas against the signature first, so
+# no function it runs fails on entry.  No code refers to a node, so a node
+# still dies by reference count and takes its code with it.  Only finished
+# code is stored; two threads may both generate a node's function, and
+# either copy is right.
 
 _store_code = Formula._code.__set__
-
-
-def _short(env: tuple[int, ...], i: int) -> EvalError:
-    return EvalError(f"environment of length {len(env)} is too short for x{i}")
-
-
-def _no_table(kind: str, symbol: str) -> EvalError:
-    return EvalError(f"no table for {kind} {symbol!r}")
 
 
 def _value(t: Term, k: int, fns, index, env: tuple[int, ...]) -> int:
@@ -264,16 +264,16 @@ def _value(t: Term, k: int, fns, index, env: tuple[int, ...]) -> int:
         try:
             return env[t.index - 1]
         except IndexError:
-            raise _short(env, t.index) from None
+            raise EvalError(f"environment of length {len(env)} is too short for x{t.index}") from None
     if ty is Param:
         try:
             return index[t.name]
         except KeyError:
             raise EvalError(f"parameter {t.name!r} is not a carrier element") from None
     try:
-        table = fns[t.symbol]
+        table = fns[_key(t.symbol, len(t.args))]
     except KeyError:
-        raise _no_table("function", t.symbol) from None
+        raise EvalError(f"no table for function {t.symbol!r}") from None
     return table[_row_position(t.args, k, fns, index, env)]
 
 
@@ -303,9 +303,9 @@ def _holds(f: Formula, k: int, fns, preds, index, env: tuple[int, ...]) -> bool:
         return True
     if ty is Atom:
         try:
-            table = preds[f.symbol]
+            table = preds[_key(f.symbol, len(f.args))]
         except KeyError:
-            raise _no_table("predicate", f.symbol) from None
+            raise EvalError(f"no table for predicate {f.symbol!r}") from None
         return _row_position(f.args, k, fns, index, env) in table
     raise EvalError(f"not a formula: {f!r}")
 
@@ -336,7 +336,8 @@ def eval_term(t: Term, structure: Structure, env: Env) -> str:
     """The carrier element that ``t`` denotes when x(i+1) is ``env[i]``.
 
     Raises :class:`EvalError` for a short environment, an environment
-    element or parameter outside the carrier, or an unknown symbol.
+    element or parameter outside the carrier, or a symbol at an arity
+    with no table.
     """
     s = structure
     index = s._index
@@ -350,10 +351,10 @@ def eval_term(t: Term, structure: Structure, env: Env) -> str:
 def eval_formula(f: Formula, structure: Structure, env: Env) -> bool:
     """Whether ``f`` holds in ``structure`` when x(i+1) is ``env[i]``.
 
-    Raises :class:`EvalError` as :func:`eval_term` does.  Symbols must be
-    used at their declared arities, as the parser and ``check_formula``
-    ensure.  The first evaluation of a node generates one Python function
-    for it, which every later evaluation runs.
+    Raises :class:`EvalError` as :func:`eval_term` does, where evaluation
+    reaches the failing node: ``(false -> P(x5))`` holds under ``()``.
+    The first evaluation of a node generates one Python function for it,
+    which every later evaluation runs.
     """
     s = structure
     index = s._index
@@ -456,7 +457,7 @@ def induced_valuation_check(
     sentences would take more than ``DEFAULT_CEILING`` steps.
     """
     env = tuple(env)
-    if EQ_NAME in structure._preds:
+    if _EQ_KEY in structure._preds:
         # forall_n(g, n) costs n binders and, as a quantifier over a
         # rank-0 body is evaluated once, k**min(n, rank of g) environments;
         # count them all before evaluating anything
@@ -509,7 +510,7 @@ def induced_valuation_check(
 
     reflexivity = ConditionReport("equality reflexivity")
     replacement = ConditionReport("equality replacement")
-    if EQ_NAME in structure._preds:
+    if _EQ_KEY in structure._preds:
         # forall_n(g, n) holds when g holds under every tuple of n elements
         # put before env, and g reads no more of that tuple than its rank;
         # the sentence is built only to name a counterexample
@@ -574,9 +575,9 @@ def _encoded_tables(sig: Signature, size: int):
     :func:`enumerate_structures` documents.  Yielded dicts may be shared
     between items and must not be mutated."""
     preds, fns = _table_symbols(sig)
-    fixed: dict[str, frozenset[int]] = {FALSE_NAME: frozenset()}
+    fixed: dict[str, frozenset[int]] = {_key(FALSE_NAME, 0): frozenset()}
     if sig.with_equality:
-        fixed[EQ_NAME] = frozenset(range(0, size * size, size + 1))
+        fixed[_EQ_KEY] = frozenset(range(0, size * size, size + 1))
     pred_choices = [
         [
             frozenset(itertools.compress(range(size**arity), bits))
@@ -587,8 +588,8 @@ def _encoded_tables(sig: Signature, size: int):
     fn_choices = [
         list(itertools.product(range(size), repeat=size**arity)) for _, arity in fns
     ]
-    pred_names = [name for name, _ in preds]
-    fn_names = [name for name, _ in fns]
+    pred_names = [_key(name, arity) for name, arity in preds]
+    fn_names = [_key(name, arity) for name, arity in fns]
     for pred_pick in itertools.product(*pred_choices):
         pred_tables = dict(fixed)
         pred_tables.update(zip(pred_names, pred_pick))
@@ -604,9 +605,8 @@ def enumerate_structures(sig: Signature, size: int):
     entries; ``false`` stays empty and ``eq`` stays the identity.
     """
     domain, index = _carrier(size)
-    arity = _arities(sig)
     for fns, preds in _encoded_tables(sig, size):
-        yield Structure(domain, fns, preds, arity, index)
+        yield Structure(domain, fns, preds, index)
 
 
 def find_countermodel(
@@ -619,18 +619,23 @@ def find_countermodel(
     """Search carriers of size 1..max_size for a structure satisfying the
     theory together with an environment falsifying the formula.  Returns
     the enumeration-order-least hit, or None when the search space is
-    exhausted.  Refuses searches whose candidate count exceeds the ceiling,
-    counting size by size and stopping at the first size that passes it,
-    and, before that, a rank or an arity past the ceiling.
+    exhausted.  First refuses, with ValueError, a formula with parameters
+    or a formula or theory sentence not over ``sig``.  Refuses searches
+    whose candidate count exceeds the ceiling, counting size by size and
+    stopping at the first size that passes it, and, before that, a rank or
+    an arity past the ceiling.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if has_params(formula):
         raise ValueError("countermodel search needs a parameter-free formula")
+    formulas = [f for _, f in theory.sentences] + [formula]
+    for f in formulas:
+        check_formula(f, sig)
     rank = min_rank(formula)
     # every candidate builds an environment of length rank, and the model
     # found prints table rows as long as the arities
-    longest = max(rank, *_arities(sig).values())
+    longest = max(rank, *sig.functions.values(), *sig.predicates.values())
     if longest > ceiling:
         raise SearchLimit(longest, ceiling, "entries in one environment or table row")
     # counts up to about the ceiling squared are built exactly; past that
@@ -643,29 +648,16 @@ def find_countermodel(
         total += count_structures(sig, size) * size**rank
         if total > ceiling:
             raise SearchLimit(total, ceiling)
-    formulas = [f for _, f in theory.sentences] + [formula]
-    try:
-        return _search([_generated(f) or partial(_holds, f) for f in formulas],
-                       sig, max_size, rank)
-    except (IndexError, KeyError):
-        # generated code reads every table on entry, so a symbol outside
-        # sig fails there even on a branch never taken; the search is
-        # deterministic, so the walk finds the same first hit or error
-        return _search([partial(_holds, f) for f in formulas], sig, max_size, rank)
-
-
-def _search(codes: list, sig: Signature, max_size: int, rank: int) -> tuple[Structure, Env] | None:
-    """The enumeration of find_countermodel, with ``codes`` holding the
-    code of each theory sentence and, last, of the formula."""
-    *sentences, code = codes
+    # every formula is over sig and parameter-free, and each environment
+    # is as long as the rank, so no generated function fails on entry
+    *sentences, code = [_generated(f) or partial(_holds, f) for f in formulas]
     for size in range(1, max_size + 1):
         domain, index = _carrier(size)
         for fns, preds in _encoded_tables(sig, size):
             if all(s(size, fns, preds, index, ()) for s in sentences):
                 for env in itertools.product(range(size), repeat=rank):
                     if not code(size, fns, preds, index, env):
-                        structure = Structure(domain, fns, preds, _arities(sig), index)
-                        return structure, tuple(domain[v] for v in env)
+                        return Structure(domain, fns, preds, index), tuple(domain[v] for v in env)
     return None
 
 

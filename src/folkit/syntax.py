@@ -307,33 +307,39 @@ FALSE = Atom(FALSE_NAME, ())
 
 
 def check_term(t: Term, sig: Signature) -> None:
-    """Raise ValueError unless every applied symbol is declared with matching arity."""
-    if isinstance(t, App):
-        arity = sig.functions.get(t.symbol)
-        if arity is None:
-            raise ValueError(f"unknown function symbol {t.symbol!r}")
-        if arity != len(t.args):
-            raise ValueError(f"arity mismatch: {t.symbol} expects {arity}, got {len(t.args)}")
-        for a in t.args:
-            check_term(a, sig)
+    """Raise ValueError unless t is a term whose every applied symbol is
+    declared with matching arity."""
+    _check(t, sig, set(), False)
 
 
 def check_formula(f: Formula, sig: Signature) -> None:
-    if isinstance(f, Atom):
-        arity = sig.predicates.get(f.symbol)
-        if arity is None:
-            raise ValueError(f"unknown predicate symbol {f.symbol!r}")
-        if arity != len(f.args):
-            raise ValueError(f"arity mismatch: {f.symbol} expects {arity}, got {len(f.args)}")
-        for a in f.args:
-            check_term(a, sig)
-    elif isinstance(f, Implies):
-        check_formula(f.lhs, sig)
-        check_formula(f.rhs, sig)
-    elif isinstance(f, Forall):
-        check_formula(f.body, sig)
-    else:
-        raise ValueError(f"not a formula: {f!r}")
+    """Raise ValueError unless f is a formula whose every symbol is declared
+    with matching arity."""
+    _check(f, sig, set(), True)
+
+
+def _check(d: Term | Formula, sig: Signature, seen: set, formula: bool) -> None:
+    # d stands where a formula (or else a term) belongs; each distinct node
+    # is checked once, so shared children cost their number, not their
+    # number of occurrences
+    if not isinstance(d, Formula if formula else Term):
+        raise ValueError(f"not a {'formula' if formula else 'term'}: {d!r}")
+    ty = type(d)
+    if d in seen or ty is Var or ty is Param:
+        return
+    seen.add(d)
+    if ty is Implies or ty is Forall:
+        for child in (d.lhs, d.rhs) if ty is Implies else (d.body,):
+            _check(child, sig, seen, True)
+        return
+    arities, kind = (sig.functions, "function") if ty is App else (sig.predicates, "predicate")
+    arity = arities.get(d.symbol)
+    if arity is None:
+        raise ValueError(f"unknown {kind} symbol {d.symbol!r}")
+    if arity != len(d.args):
+        raise ValueError(f"arity mismatch: {d.symbol} expects {arity}, got {len(d.args)}")
+    for a in d.args:
+        _check(a, sig, seen, False)
 
 
 # ---------------------------------------------------------------------------

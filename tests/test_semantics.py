@@ -37,6 +37,7 @@ from folkit import (
     min_rank,
     parse_model,
     print_model,
+    semantics,
     shift_up,
     subst_formula,
     subst_term,
@@ -178,6 +179,61 @@ class TestCompiledEvaluator:
         assert eval_formula(chain, mod2_structure(), ("0",)) is True
 
 
+class TestArity:
+    """A table is found by its symbol and arity, so a symbol applied at an
+    arity it has no table for raises EvalError where evaluation reaches it."""
+
+    SIG = Signature({"g": 1}, {"R": 2})
+    STRUCTURE = Structure.make(SIG, ("0", "1"), {"g": {("0",): "1", ("1",): "0"}},
+                               {"R": {("0", "1")}})
+    WRONG = (
+        (Atom("R", (Var(1),)), "no table for predicate 'R'"),
+        (Atom("R", (Var(1), Var(1), Var(1))), "no table for predicate 'R'"),
+        (Atom("R", (App("g", (Var(1), Var(1))), Var(1))), "no table for function 'g'"),
+        (Atom("R", (App("g"), Var(1))), "no table for function 'g'"),
+    )
+
+    @pytest.mark.parametrize("f, message", WRONG)
+    def test_eval_formula_raises_on_the_generated_code_and_on_the_walk(self, f, message):
+        # the first evaluation generates the function, the second runs it;
+        # its read on entry fails and the walk raises the error
+        for _ in range(2):
+            with pytest.raises(EvalError) as raised:
+                eval_formula(f, self.STRUCTURE, ("1",))
+            assert str(raised.value) == message
+        assert f._code.__name__ == "generated"
+        s = self.STRUCTURE
+        with pytest.raises(EvalError, match=message):
+            semantics._holds(f, 2, s._fns, s._preds, s._index, (1,))
+        # unreached, it is no error
+        assert eval_formula(Implies(FALSE, f), s, ("1",)) is True
+
+    @pytest.mark.parametrize("t", [App("g", (Var(1), Var(1))), App("g"),
+                                   App("g", (App("g", (Var(1), Var(1))),))])
+    def test_eval_term_raises(self, t):
+        with pytest.raises(EvalError, match="no table for function 'g'"):
+            eval_term(t, self.STRUCTURE, ("1",))
+
+    @pytest.mark.parametrize("f, message", WRONG)
+    def test_an_audit_sample_raises(self, f, message):
+        # the audit evaluates implications and quantified samples
+        for sample in (Implies(f, FALSE), Forall(f)):
+            with pytest.raises(EvalError, match=message):
+                induced_valuation_check(self.STRUCTURE, ("1",), [sample], [])
+
+    @pytest.mark.parametrize("f", [f for f, _ in WRONG])
+    def test_find_countermodel_refuses_before_enumerating(self, f, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(semantics, "_encoded_tables", enumerated)
+        for theory, formula in ((EMPTY_THEORY, f),
+                                (Theory("t", (("s", forall_n(f, min_rank(f))),)),
+                                 Atom("R", (Var(1), Var(1))))):
+            with pytest.raises(ValueError, match="arity mismatch"):
+                find_countermodel(theory, formula, self.SIG, 2)
+
+
 class TestStructureInvariants:
     def test_carrier_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -221,7 +277,7 @@ class TestStructureInvariants:
         finally:
             tracemalloc.stop()
         assert elapsed < 0.1 and peak < 100_000
-        assert s._preds["P"] == frozenset({0, 2})
+        assert s._preds["P/12"] == frozenset({0, 2})
         env = ("a",)
         assert eval_formula(Atom("P", (Var(1),) * 12), s, env) is True
         assert eval_formula(Atom("P", (Var(1),) * 11 + (App("c"),)), s, env) is False
@@ -445,32 +501,24 @@ class TestCountermodel:
             assert info.value.count == 2 + 2 ** (2 * DEFAULT_CEILING.bit_length())
             assert "exceeds the ceiling" in str(info.value)
 
-    def test_a_symbol_outside_the_signature_raises_only_where_reached(self):
+    def test_a_symbol_outside_the_signature_is_refused_before_enumeration(self):
         # the parser refuses such symbols, so only hand-built formulas and
-        # sentences have them; generated code reads every table on entry,
-        # so the search runs again on the walk, which meets the same first
-        # hit or raises the same first error
+        # sentences have them; the search refuses them with ValueError
+        # before it counts anything (a ceiling of 0 would refuse any
+        # count), also on a branch it would never reach
         p1 = Atom("P", (Var(1),))
-        everywhere = Theory("t", (("s", Forall(p1)),))
-        reached = Structure.make(SIG_P, ("0",), {}, {"P": {("0",)}})
-        for bad in (Atom("Q", (Var(1),)), Atom("P", (App("h", (Var(1),)),))):
+        for bad in (Atom("Q", (Var(1),)), Atom("P", (App("h", (Var(1),)),)),
+                    Atom("P", (Var(1), Var(1))), Atom("P", ()), Atom("P", (p1,))):
             skipped = Forall(Implies(FALSE, bad))  # true and closed; bad is never reached
-            guarded = Theory("t", (("s", Forall(Implies(skipped, p1))),))
-            for f in (p1, Implies(p1, FALSE), Forall(p1)):
-                assert (find_countermodel(EMPTY_THEORY, Implies(skipped, f), SIG_P, 2)
-                        == find_countermodel(EMPTY_THEORY, f, SIG_P, 2))
-                assert (find_countermodel(guarded, f, SIG_P, 2)
-                        == find_countermodel(everywhere, f, SIG_P, 2))
-            with pytest.raises(EvalError) as expected:
-                eval_formula(Implies(p1, bad), reached, ("0",))
-            # reached in the formula once P holds somewhere, and in the
-            # sentence at the first candidate
-            unless_p = Theory("t", (("s", Forall(Implies(Implies(p1, FALSE), bad))),))
-            for theory, f in ((EMPTY_THEORY, Implies(p1, bad)), (unless_p, p1)):
-                for search in (find_countermodel, reference.naive_countermodel):
-                    with pytest.raises(EvalError) as found:
-                        search(theory, f, SIG_P, 2)
-                    assert str(found.value) == str(expected.value)
+            for theory, f in ((EMPTY_THEORY, Implies(skipped, p1)),
+                              (EMPTY_THEORY, Implies(p1, bad)),
+                              (Theory("t", (("s", skipped),)), p1),
+                              (Theory("t", (("s", Forall(Implies(skipped, p1))),)), p1)):
+                with pytest.raises(ValueError) as refused:
+                    find_countermodel(theory, f, SIG_P, 10**6, ceiling=0)
+                assert not isinstance(refused.value, SearchLimit)
+                assert re.match("unknown predicate|unknown function|arity mismatch|not a term",
+                                str(refused.value))
 
     def test_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -240,6 +240,18 @@ def test_formula_round_trip(f):
     check_formula(f, SIG3)
 
 
+def test_check_refuses_a_node_of_the_wrong_kind():
+    p = Atom("P", (Var(1),))
+    for f, message in ((Implies(p, Var(1)), "not a formula: Var"),
+                       (Forall(App("a")), "not a formula: App"),
+                       (Atom("P", (p,)), "not a term: Atom"),
+                       (Atom("Q", (App("f", (Forall(p),)), Var(1))), "not a term: Forall")):
+        with pytest.raises(ValueError, match=message):
+            check_formula(f, SIG3)
+    with pytest.raises(ValueError, match="not a term: Atom"):
+        check_term(App("f", (p,)), SIG3)
+
+
 P1 = Atom("P", (Var(1),))
 # six shapes of chain, each grown from a formula of depth 2
 CHAINS = {

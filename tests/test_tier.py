@@ -13,6 +13,7 @@ import random
 import sys
 import threading
 import time
+import traceback
 import weakref
 from functools import partial
 
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folkit import (
+    EMPTY_THEORY,
     FALSE,
     App,
     Atom,
@@ -32,6 +34,7 @@ from folkit import (
     Term,
     Var,
     eval_formula,
+    find_countermodel,
     min_rank,
 )
 from folkit import _codegen, semantics
@@ -139,6 +142,10 @@ def test_a_formula_that_unfolds_exponentially_keeps_its_closures():
     assert first_call(f, structure, ("0", "0")) is True
     assert time.perf_counter() - start < 2
     assert f._code is None
+    # the search checks each distinct node of it against the signature once
+    start = time.perf_counter()
+    assert find_countermodel(EMPTY_THEORY, f, SIG5, 1) is None
+    assert time.perf_counter() - start < 2
 
 
 def test_no_symbol_or_parameter_name_reaches_the_generated_code():
@@ -157,7 +164,32 @@ def test_no_symbol_or_parameter_name_reaches_the_generated_code():
     assert not names & set(code.co_consts)
     assert not names & set(code.co_names)
     assert not names & set(code.co_varnames)
-    assert set(f._code.__defaults__) == {"gen_fn", "gen_pred", "gen_a"}
+    assert set(f._code.__defaults__) == {"gen_fn/1", "gen_pred/2", "gen_a"}
+
+
+class Interrupting(dict):
+    def __getitem__(self, key):
+        raise KeyboardInterrupt
+
+
+def test_a_traceback_through_generated_code_can_be_formatted():
+    # the generated code keeps the line table that compile makes; with
+    # none, formatting any traceback through it failed
+    structure = Structure.make(SIG5, ("0", "1"), {"g": {("0",): "1", ("1",): "0"}},
+                               {"R": {("0", "1")}})
+    f = Forall(Atom("R", (Var(1), App("g", (Var(2),)))))
+    assert first_call(f, structure, ("0",)) is False
+    assert generated(f)
+    k, fns, preds, index, env = encoded(structure, ("0",))
+    for bad_preds, raised in ((None, TypeError), (Interrupting(), KeyboardInterrupt)):
+        try:
+            f._code(k, fns, bad_preds, index, env)
+        except raised:
+            text = traceback.format_exc()
+        else:
+            raise AssertionError(f"{raised.__name__} not raised")
+        assert 'File "<folkit generated>", line' in text and ", in generated" in text
+        assert text.rstrip().splitlines()[-1].startswith(raised.__name__)
 
 
 def test_a_tiered_node_still_dies_by_reference_count():
